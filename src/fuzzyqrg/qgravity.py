@@ -13,50 +13,41 @@ are computed two independent ways: deterministic quadrature in eigenvalue
 coordinates, and rejection Monte Carlo directly over matrix entries.
 The (u, v, w) change of variables diagonalizes Q to -3u^2 + 12v^2 + 4w^2
 and yields the fluctuation integral Z_u at fixed mean eigenvalue u.
+
+Each formula is written once: ``log_eigen_weight`` is the single
+definition of the eigenvalue weight (the quadrature kernel and
+``eigen_weight`` both call it), ``partial_zu_integrand`` is the Z_u
+integrand, and ``action_matrix`` is ``geometry.scalar_closed_form``.  The
+Monte Carlo oracle keeps its own matrix-coordinate log-weight so that it
+stays an independent check of the quadrature.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .geometry import scalar_closed_form as action_matrix
+
 __all__ = [
     "QGConfig", "MomentEstimate", "MCEstimate", "PartialZu", "SweepResult",
-    "action_matrix", "eigen_weight", "moments", "moment_set",
-    "mc_matrix_oracle", "uvw_map", "uvw_inverse", "quad_form",
+    "action_matrix", "log_eigen_weight", "eigen_weight", "moments",
+    "moment_set", "mc_matrix_oracle", "uvw_map", "uvw_inverse", "quad_form",
     "quad_form_uvw", "partial_zu_integrand", "partial_Zu", "sweep",
 ]
 
 SWEEP_SCHEMA = "fuzzyqrg.sweep.v1"
 
 
-def _thread_count():
-    raw = os.environ.get("FUZZYQRG_THREADS", "")
-    if not raw:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError("FUZZYQRG_THREADS must be a positive integer")
-    return n
-
-
-def _map_ordered(fn, items):
-    """Map preserving order; parallel when FUZZYQRG_THREADS > 1.
-
-    The reduction downstream always consumes results in input order, so
-    the thread count never changes any output bit.
-    """
-    n = _thread_count()
-    if n == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+def _check_resolution(n):
+    if not isinstance(n, numbers.Integral) or n < 16:
+        raise ValueError("resolution must be an integer of at least 16 "
+                         "per axis")
 
 
 @dataclass(frozen=True)
@@ -75,8 +66,7 @@ class QGConfig:
             raise ValueError("coupling G must be positive")
         if not 0 < self.eps < self.L:
             raise ValueError("cutoffs must satisfy 0 < eps < L")
-        if self.resolution < 16:
-            raise ValueError("resolution must be at least 16 per axis")
+        _check_resolution(self.resolution)
         if self.samples < 1:
             raise ValueError("sample count must be positive")
 
@@ -106,40 +96,30 @@ class PartialZu:
 # -- pointwise quantities ---------------------------------------------------
 
 
-def action_matrix(g):
-    """Action of a symmetric 3x3 metric:
-    (Tr g^2 - (1/2)(Tr g)^2) / (2 det g).
-
-    Accepts a nested sequence or array; exact inputs (Fractions) stay
-    exact.  Raises on singular input.
-    """
-    rows = [list(r) for r in g]
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise ValueError("expected a 3x3 matrix")
-    a, b, c = rows[0][0], rows[1][1], rows[2][2]
-    p, q, r = rows[0][1], rows[0][2], rows[1][2]
-    if rows[1][0] != p or rows[2][0] != q or rows[2][1] != r:
-        raise ValueError("metric not symmetric")
-    det = a * (b * c - r * r) - p * (p * c - r * q) + q * (p * r - b * q)
-    if det == 0:
-        raise ValueError("metric not invertible")
-    num = (a * a + b * b + c * c) - 2 * (a * b + a * c + b * c) \
-        + 4 * (p * p + q * q + r * r)
-    return num / (4 * det)
-
-
 def quad_form(l1, l2, l3):
     """Q = sum of squares minus twice the sum of pairwise products."""
     return (l1 * l1 + l2 * l2 + l3 * l3
             - 2 * (l1 * l2 + l1 * l3 + l2 * l3))
 
 
+def log_eigen_weight(l1, l2, l3, G):
+    """Log of the eigenvalue-coordinate weight
+    |Delta| / (l1 l2 l3)^2 * exp(-Q / 2G).
+
+    Broadcasts over arrays; coincident eigenvalues give -inf.
+    """
+    with np.errstate(divide="ignore"):
+        return (np.log(np.abs(l1 - l2)) + np.log(np.abs(l1 - l3))
+                + np.log(np.abs(l2 - l3))
+                - 2.0 * (np.log(np.abs(l1)) + np.log(np.abs(l2))
+                         + np.log(np.abs(l3)))
+                - quad_form(l1, l2, l3) / (2.0 * G))
+
+
 def eigen_weight(l1, l2, l3, G):
     """Eigenvalue-coordinate weight
     |Delta| / (l1 l2 l3)^2 * exp(-Q / 2G)."""
-    delta = abs((l1 - l2) * (l1 - l3) * (l2 - l3))
-    return delta / (l1 * l2 * l3) ** 2 * math.exp(-quad_form(l1, l2, l3)
-                                                  / (2 * G))
+    return np.exp(log_eigen_weight(l1, l2, l3, G))
 
 
 def uvw_map(l1, l2, l3):
@@ -159,8 +139,6 @@ def quad_form_uvw(u, v, w):
 
 
 # -- eigenvalue-coordinate quadrature ---------------------------------------
-
-_MIN_RESOLUTION = 16
 
 
 @lru_cache(maxsize=None)
@@ -234,63 +212,57 @@ def _ordered_sector_sums(G, eps, L, n, exps_list):
     no overflow.  Panels are graded toward both ends of every axis: the
     exponential favors near-equal eigenvalues near the upper cutoff with
     a peak of log-width about G/L^2, while the 1/lam^2 measure pins mass
-    within about one log unit of the lower cutoff.  Returns
-    (S0, [S_e...]) up to one common exp(shift) factor, which cancels in
-    all moment ratios.
+    within about one log unit of the lower cutoff.  Each outer node lam3
+    is one row of (lam2, lam1) nodes, summed under its own peak shift;
+    the rows are then combined relative to the largest shift in their
+    fixed order.  Returns (S0, [S_e...]) up to one common exp(shift)
+    factor, which cancels in all moment ratios.
     """
     a, b = math.log(eps), math.log(L)
     w_top = max(G / (2.0 * L * L), 1e-7)
     order = _panel_order(n)
+    terms = [_sym_terms(exps) for exps in exps_list]
     mu3, w3 = _axis_nodes(a, b, 1.0, w_top, order)
-
-    def row(j):
-        m3, wt3 = mu3[j], w3[j]
-        l3 = math.exp(m3)
+    shifts, rows = [], []
+    for m3, wt3 in zip(mu3, w3):
         mu2, w2 = _axis_nodes(a, m3, 1.0, w_top, order)
-        cells = []
-        for k in range(len(mu2)):
-            m2, wt2 = mu2[k], w2[k]
-            l2 = math.exp(m2)
-            mu1, w1 = _axis_nodes(a, m2, 1.0, w_top, order)
-            l1 = np.exp(mu1)
-            # log of weight * Jacobian (lam1 lam2 lam3 from d lam = lam d mu)
-            logf = (np.log(l2 - l1) + np.log(l3 - l1) + math.log(l3 - l2)
-                    - (mu1 + m2 + m3)
-                    - (quad_form(l1, l2, l3)) / (2.0 * G))
-            cells.append((wt3 * wt2 * w1, logf, l1, l2, l3))
-        return cells
-
-    rows = _map_ordered(row, range(len(mu3)))
-    shift = max(float(np.max(c[1])) for cells in rows for c in cells)
-
-    s0_parts, mono_parts = [], [[] for _ in exps_list]
-    for cells in rows:
-        for wts, logf, l1, l2, l3 in cells:
-            base = wts * np.exp(logf - shift)
-            s0_parts.append(float(np.sum(base)))
-            for idx, exps in enumerate(exps_list):
-                perms = _sym_terms(exps)
-                acc = np.zeros_like(base)
-                for (e1, e2, e3) in perms:
-                    acc += base * (l1 ** e1) * (l2 ** e2) * (l3 ** e3)
-                mono_parts[idx].append(float(np.sum(acc)) / len(perms))
-    s0 = math.fsum(s0_parts)
-    return s0, [math.fsum(p) for p in mono_parts]
+        inner = [_axis_nodes(a, m2, 1.0, w_top, order) for m2 in mu2]
+        counts = [len(nodes) for nodes, _ in inner]
+        mu1 = np.concatenate([nodes for nodes, _ in inner])
+        w1 = np.concatenate([wts for _, wts in inner])
+        mu2, w2 = np.repeat(mu2, counts), np.repeat(w2, counts)
+        l1, l2, l3 = np.exp(mu1), np.exp(mu2), math.exp(m3)
+        # log of weight * Jacobian (lam1 lam2 lam3 from d lam = lam d mu)
+        logf = log_eigen_weight(l1, l2, l3, G) + (mu1 + mu2 + m3)
+        shift = float(np.max(logf))
+        base = wt3 * w2 * w1 * np.exp(logf - shift)
+        sums = [float(np.sum(base))]
+        for perms in terms:
+            acc = np.zeros_like(base)
+            for (e1, e2, e3) in perms:
+                acc += base * (l1 ** e1) * (l2 ** e2) * (l3 ** e3)
+            sums.append(float(np.sum(acc)) / len(perms))
+        shifts.append(shift)
+        rows.append(sums)
+    top = max(shifts)
+    scales = [math.exp(s - top) for s in shifts]
+    totals = [math.fsum(f * sums[i] for f, sums in zip(scales, rows))
+              for i in range(len(terms) + 1)]
+    return totals[0], totals[1:]
 
 
 def moment_set(cfg, specs):
     """Moments for several multi-indices, sharing quadrature passes.
 
     Each moment is the ratio of the monomial-weighted integral to the
-    plain one; the error is the change under halving the resolution.
+    plain one; the error is the change from resolution n to n // 2.
     """
     specs = [tuple(s) for s in specs]
     exps_list = [_spec_exponents(s) for s in specs]
-    n_half = max(_MIN_RESOLUTION, cfg.resolution // 2)
     s0, nums = _ordered_sector_sums(cfg.G, cfg.eps, cfg.L,
                                     cfg.resolution, exps_list)
     s0h, numsh = _ordered_sector_sums(cfg.G, cfg.eps, cfg.L,
-                                      n_half, exps_list)
+                                      cfg.resolution // 2, exps_list)
     if not (math.isfinite(s0) and s0 > 0):
         raise ArithmeticError("quadrature normalization is not positive")
     out = {}
@@ -321,7 +293,7 @@ def mc_matrix_oracle(cfg, observable):
     - (1/2)(Tr g)^2)).  Weights are carried relative to a running
     log-scale shift, so actions of order L^2/G never overflow.  Returns
     the weighted mean with a standard error from the ratio delta method.
-    Deterministic for a fixed seed and independent of thread count.
+    Deterministic for a fixed seed.
     """
     half = (cfg.L - cfg.eps) / 2.0
     n_chunks = -(-cfg.samples // _MC_CHUNK)
@@ -353,7 +325,7 @@ def mc_matrix_oracle(cfg, observable):
                 float(np.sum(w * w)), float(np.sum(w * w * obs)),
                 float(np.sum(w * w * obs * obs)), len(gs))
 
-    parts = _map_ordered(chunk, range(n_chunks))
+    parts = [chunk(c) for c in range(n_chunks)]
     shift = max(p[0] for p in parts)
     scaled = []
     for p in parts:
@@ -381,10 +353,16 @@ def mc_matrix_oracle(cfg, observable):
 def partial_zu_integrand(u, v, w, G):
     """Integrand of the fluctuation integral at fixed u:
     |9v^2 - w^2| w / ((u - 2v)^2 ((u + v)^2 - w^2)^2)
-    * exp(-(2/G)(3v^2 + w^2))."""
-    num = abs(9 * v * v - w * w) * w
-    den = (u - 2 * v) ** 2 * ((u + v) ** 2 - w * w) ** 2
-    return num / den * math.exp(-(2.0 / G) * (3 * v * v + w * w))
+    * exp(-(2/G)(3v^2 + w^2)).
+
+    Broadcasts over arrays of w, bit-identically to scalar calls: the
+    w-dependent square is a product because libm pow(x, 2) is not always
+    the correctly rounded x * x that NumPy uses for arrays.
+    """
+    num = np.abs(9 * v * v - w * w) * w
+    q = (u + v) ** 2 - w * w
+    den = (u - 2 * v) ** 2 * (q * q)
+    return num / den * np.exp(-(2.0 / G) * (3 * v * v + w * w))
 
 
 def _zu_value(u, G, n, margin):
@@ -403,10 +381,8 @@ def _zu_value(u, G, n, margin):
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             w_top = margin * (u + v) if hi == w_hi else (hi - lo) / 4
             w_nodes, w_wts = _axis_nodes(lo, hi, (hi - lo) / 4, w_top, order)
-            vals = np.abs(9 * v * v - w_nodes ** 2) * w_nodes \
-                / ((u - 2 * v) ** 2 * ((u + v) ** 2 - w_nodes ** 2) ** 2) \
-                * np.exp(-(2.0 / G) * (3 * v * v + w_nodes ** 2))
-            inner += float(np.dot(w_wts, vals))
+            inner += float(np.dot(w_wts,
+                                  partial_zu_integrand(u, v, w_nodes, G)))
         totals.append(wv * inner)
     return 4.0 * math.fsum(totals)
 
@@ -417,7 +393,7 @@ def partial_Zu(u, G, resolution=64, margin=1e-4):
     The exact integral diverges at the boundaries v = u/2 (lam1 = 0) and
     w = u + v (lam2 = 0); both are excluded by the given relative margin,
     which is reported alongside the value.  The error field is the change
-    under halving the quadrature resolution.
+    from resolution n to n // 2.
     """
     if not u > 0:
         raise ValueError("u must be positive")
@@ -425,8 +401,9 @@ def partial_Zu(u, G, resolution=64, margin=1e-4):
         raise ValueError("coupling G must be positive")
     if not margin > 0:
         raise ValueError("margin must be positive")
+    _check_resolution(resolution)
     v = _zu_value(u, G, resolution, margin)
-    vh = _zu_value(u, G, max(_MIN_RESOLUTION, resolution // 2), margin)
+    vh = _zu_value(u, G, resolution // 2, margin)
     return PartialZu(value=v, error=abs(v - vh), margin=margin)
 
 
@@ -489,6 +466,7 @@ def sweep(cfg, L_values, specs=((1,),)):
     deterministic for a fixed config.
     """
     specs = [tuple(s) for s in specs]
+    l_max = float(max(L_values))
     rows = []
     for L in L_values:
         c = QGConfig(G=cfg.G, eps=cfg.eps, L=float(L),
@@ -497,6 +475,8 @@ def sweep(cfg, L_values, specs=((1,),)):
         wanted = list(dict.fromkeys(list(_RATIO_SPECS) + specs))
         est = moment_set(c, wanted)
         m1, m12, m11 = est[(1,)], est[(1, 2)], est[(1, 1)]
+        if float(L) == l_max:
+            v = m1.value
         ratio = None
         unc = None
         if m1.value > m1.error:
@@ -511,14 +491,9 @@ def sweep(cfg, L_values, specs=((1,),)):
                 "estimate": e.value, "error": e.error,
                 "ratio_16over3": ratio, "uncertainty": unc,
             })
-    l_max = float(max(L_values))
-    base = QGConfig(G=cfg.G, eps=cfg.eps, L=l_max,
-                    resolution=cfg.resolution, samples=cfg.samples,
-                    seed=cfg.seed)
     halved = QGConfig(G=cfg.G, eps=cfg.eps / 2.0, L=l_max,
                       resolution=cfg.resolution, samples=cfg.samples,
                       seed=cfg.seed)
-    v = moments(base, (1,)).value
     vh = moments(halved, (1,)).value
     report = {
         "L": l_max, "eps": cfg.eps, "eps_half": cfg.eps / 2.0,

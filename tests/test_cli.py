@@ -211,6 +211,15 @@ def test_qg_partial_rejects_nonpositive_u():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("res", ["0", "-5", "15"])
+def test_qg_partial_rejects_bad_resolution(capsys, res):
+    rc, out, err = run_cli(capsys, "qg-partial", "--u", "2",
+                           "--resolution", res)
+    assert rc == 2
+    assert out == ""
+    assert "resolution" in err
+
+
 def test_monopole_connection_report(capsys):
     rc, out, err = run_cli(capsys, "monopole", "connection")
     assert rc == 0

@@ -1,5 +1,6 @@
 """Metric functional integrals: quadrature, MC oracle, uvw theory, sweeps."""
 
+import itertools
 import json
 import math
 import random
@@ -7,11 +8,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from fuzzyqrg import qgravity
+from fuzzyqrg.geometry import curvature, qlc
 from fuzzyqrg.qgravity import (
     QGConfig, action_matrix, eigen_weight, quad_form, uvw_map, uvw_inverse,
     quad_form_uvw, moments, moment_set, mc_matrix_oracle,
-    partial_zu_integrand, partial_Zu, sweep, SWEEP_SCHEMA)
+    partial_zu_integrand, partial_Zu, sweep, SWEEP_SCHEMA, _axis_nodes,
+    _ordered_sector_sums, _panel_order)
 
 FAST = dict(G=1.0, eps=0.1, L=3.0, resolution=32, samples=20_000, seed=5)
 
@@ -25,6 +30,8 @@ def test_config_validation():
         QGConfig(eps=-0.1)
     with pytest.raises(ValueError, match="resolution"):
         QGConfig(resolution=8)
+    with pytest.raises(ValueError, match="resolution"):
+        QGConfig(resolution=32.0)
     with pytest.raises(ValueError, match="sample count"):
         QGConfig(samples=0)
 
@@ -55,6 +62,18 @@ def test_action_matrix_rejects_bad_input():
         action_matrix([[1, 0], [0, 1]])
 
 
+_rational = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_rational, min_size=6, max_size=6))
+def test_action_matrix_is_qlc_scalar_curvature(e):
+    a, b, c, p, q, r = e
+    g = [[a, p, q], [p, b, r], [q, r, c]]
+    assume(a * (b * c - r * r) - p * (p * c - r * q) + q * (p * r - b * q))
+    assert action_matrix(g) == curvature(qlc(g)).scalar
+
+
 def test_quad_form_reference_point():
     assert quad_form(1, 2, 3) == -8
     assert quad_form(Fraction(1), Fraction(1), Fraction(1)) == Fraction(-3)
@@ -64,6 +83,15 @@ def test_eigen_weight_values():
     assert math.isclose(eigen_weight(1.0, 2.0, 3.0, 1.0),
                         math.exp(4.0) / 18.0, rel_tol=1e-14)
     assert eigen_weight(2.0, 2.0, 3.0, 1.0) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+       st.floats(0.5, 10.0))
+def test_eigen_weight_permutation_invariant(lams, G):
+    want = eigen_weight(*lams, G)
+    for perm in itertools.permutations(lams):
+        assert math.isclose(eigen_weight(*perm, G), want, rel_tol=1e-11)
 
 
 def test_uvw_reference_point():
@@ -94,6 +122,26 @@ def test_moment_spec_validation():
         moments(cfg, (4,))
 
 
+def test_ordered_sector_rows_match_node_loop():
+    # reference: one node at a time, unshifted weights, plain Python sums
+    G, eps, L, n = 1.0, 0.1, 3.0, 16
+    exps_list = [(1, 0, 0), (1, 1, 0)]
+    s0, nums = _ordered_sector_sums(G, eps, L, n, exps_list)
+    a, w_top, order = math.log(eps), G / (2.0 * L * L), _panel_order(n)
+    ref = [0.0, 0.0, 0.0]
+    for m3, wt3 in zip(*_axis_nodes(a, math.log(L), 1.0, w_top, order)):
+        for m2, wt2 in zip(*_axis_nodes(a, m3, 1.0, w_top, order)):
+            for m1, wt1 in zip(*_axis_nodes(a, m2, 1.0, w_top, order)):
+                lam = (math.exp(m1), math.exp(m2), math.exp(m3))
+                f = wt3 * wt2 * wt1 * eigen_weight(*lam, G) * math.prod(lam)
+                ref[0] += f
+                ref[1] += f * sum(lam) / 3
+                ref[2] += f * (lam[0] * lam[1] + lam[0] * lam[2]
+                               + lam[1] * lam[2]) / 3
+    for num, want in zip(nums, ref[1:]):
+        assert math.isclose(num / s0, want / ref[0], rel_tol=1e-12)
+
+
 def test_moments_permutation_symmetric():
     cfg = QGConfig(**FAST)
     est = moment_set(cfg, [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3),
@@ -103,14 +151,11 @@ def test_moments_permutation_symmetric():
     assert est[(1, 1, 2)].value == est[(2, 2, 3)].value
 
 
-def test_moments_deterministic_and_thread_invariant(monkeypatch):
+def test_moments_deterministic():
     cfg = QGConfig(**FAST)
     a = moments(cfg, (1,))
     b = moments(cfg, (1,))
     assert a == b
-    monkeypatch.setenv("FUZZYQRG_THREADS", "3")
-    c = moments(cfg, (1,))
-    assert a == c
 
 
 def test_moments_resolution_halving_is_error_estimate():
@@ -119,6 +164,18 @@ def test_moments_resolution_halving_is_error_estimate():
     a = moments(cfg, (1,))
     b = moments(half, (1,))
     assert a.error == abs(a.value - b.value)
+
+
+def test_half_rule_is_strictly_coarser():
+    for n in range(16, 257):
+        assert _panel_order(n // 2) < _panel_order(n)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_error_nonzero_at_smallest_resolutions(n):
+    cfg = QGConfig(G=1.0, eps=0.1, L=3.0, resolution=n)
+    assert moment_set(cfg, [(1,)])[(1,)].error > 0
+    assert partial_Zu(2.0, 1.0, resolution=n).error > 0
 
 
 def test_moments_resolution_doubling_stable():
@@ -144,14 +201,6 @@ def test_mc_deterministic_seed_sensitive():
     c = mc_matrix_oracle(other, lambda g: np.trace(g))
     assert a.value != c.value
     assert 0 < a.n_accepted <= a.n_total == cfg.samples
-
-
-def test_mc_thread_invariant(monkeypatch):
-    cfg = QGConfig(**FAST)
-    a = mc_matrix_oracle(cfg, lambda g: np.linalg.det(g))
-    monkeypatch.setenv("FUZZYQRG_THREADS", "4")
-    b = mc_matrix_oracle(cfg, lambda g: np.linalg.det(g))
-    assert a == b
 
 
 def test_mc_zero_acceptance_raises():
@@ -192,6 +241,16 @@ def test_partial_zu_integrand_spot_value():
         assert math.isclose(got, want, rel_tol=1e-13)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.5, 5.0), st.floats(-0.9, 0.45), st.floats(0.1, 5.0),
+       st.lists(st.floats(0.0, 0.99), min_size=1, max_size=20))
+def test_partial_zu_integrand_array_matches_scalar(u, v_frac, G, w_fracs):
+    v = v_frac * u
+    ws = [f * (u + v) for f in w_fracs]
+    got = partial_zu_integrand(u, v, np.array(ws), G)
+    assert list(got) == [partial_zu_integrand(u, v, w, G) for w in ws]
+
+
 def test_partial_zu_validation():
     with pytest.raises(ValueError, match="u must be positive"):
         partial_Zu(0.0, 1.0)
@@ -199,6 +258,9 @@ def test_partial_zu_validation():
         partial_Zu(1.0, -1.0)
     with pytest.raises(ValueError, match="margin must be positive"):
         partial_Zu(1.0, 1.0, margin=0.0)
+    for bad in (0, -5, 15, 32.0, "32"):
+        with pytest.raises(ValueError, match="resolution"):
+            partial_Zu(2.0, 1.0, resolution=bad)
 
 
 def test_partial_zu_converges_under_doubling():
@@ -252,3 +314,20 @@ def test_sweep_rows_match_direct_moments():
     direct = moments(cfg, (1,))
     assert res.rows[0]["estimate"] == direct.value
     assert res.rows[0]["error"] == direct.error
+
+
+def test_sweep_one_pass_per_cutoff(monkeypatch):
+    cfg = QGConfig(G=1.0, eps=0.1, L=3.0, resolution=24)
+    L_values = [3.0, 2.0]
+    calls = []
+    real = qgravity.moment_set
+
+    def counting(c, specs):
+        calls.append(c)
+        return real(c, specs)
+
+    monkeypatch.setattr(qgravity, "moment_set", counting)
+    res = sweep(cfg, L_values)
+    assert len(calls) == len(L_values) + 1
+    row = next(r for r in res.rows if r["L"] == max(L_values))
+    assert res.eps_report["mean_lambda"] == row["estimate"]
