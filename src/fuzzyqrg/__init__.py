@@ -13,11 +13,12 @@ from .forms import (
 from .geometry import (
     Metric3, Connection3, CurvatureData, qlc, solve_qlc_linear,
     connection_from_gamma_matrix, torsion, cotorsion, metric_compat_defect,
-    nabla_g, curvature, curvature_2form, scalar_closed_form,
+    nabla_g, curvature, curvature_2form, rho_2forms, scalar_closed_form,
     scalar_perturbation)
 from .monopole import (
     AlgMatrix, FormMatrix, coords, projector, projector_dP,
-    grassmann_connection, monopole_curvature, f23_factor)
+    grassmann_connection, grassmann_closed_form, monopole_curvature,
+    f23_factor)
 from .qgravity import (
     QGConfig, MomentEstimate, MCEstimate, PartialZu, SweepResult,
     SWEEP_SCHEMA, action_matrix, quad_form, eigen_weight, uvw_map,
@@ -35,9 +36,10 @@ __all__ = [
     "Metric3", "Connection3", "CurvatureData", "qlc", "solve_qlc_linear",
     "connection_from_gamma_matrix", "torsion", "cotorsion",
     "metric_compat_defect", "nabla_g", "curvature", "curvature_2form",
-    "scalar_closed_form", "scalar_perturbation",
+    "rho_2forms", "scalar_closed_form", "scalar_perturbation",
     "AlgMatrix", "FormMatrix", "coords", "projector", "projector_dP",
-    "grassmann_connection", "monopole_curvature", "f23_factor",
+    "grassmann_connection", "grassmann_closed_form", "monopole_curvature",
+    "f23_factor",
     "QGConfig", "MomentEstimate", "MCEstimate", "PartialZu", "SweepResult",
     "SWEEP_SCHEMA", "action_matrix", "quad_form", "eigen_weight",
     "uvw_map", "uvw_inverse", "quad_form_uvw", "moment_set",

@@ -3,8 +3,9 @@
 Subcommands: ``verify`` (exact identity suites), ``curvature`` (connection
 and curvature of a metric), ``qg-sweep`` (moment sweeps of the metric
 functional integral), ``qg-partial`` (the fixed-u fluctuation integral)
-and ``monopole`` (exact connection/curvature reports).  Exit codes:
-0 success, 1 identity or invariant failure, 2 usage error.
+and ``monopole`` (exact connection/curvature reports, each checked by the
+predicate of ``verify`` that its identity cites).  Exit codes: 0 success,
+1 identity or invariant failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from fractions import Fraction
 
 from .geometry import Metric3, qlc, curvature
 from .qgravity import QGConfig, partial_Zu, sweep
-from .verify import SUITES, run_suite
+from .verify import (SUITES, run_suite, connection_closed_form_holds,
+                     curvature_factors_hold)
 
 __all__ = ["main", "build_parser"]
 
@@ -256,7 +258,10 @@ _Q_TERMS = (("- (i/4)(1-lp^2) s3", "+ (i/4)(1-lp^2) (s1 + i s2)"),
 
 def _connection_text():
     from .monopole import grassmann_connection
-    conn = grassmann_connection()  # raises if the closed form fails
+    conn = grassmann_connection()
+    if not connection_closed_form_holds(conn):
+        raise RuntimeError("Grassmann connection (dP)P does not equal its "
+                           "closed form")
     lines = [
         "Grassmann connection (dP)P, verified equal to the closed form",
         "  (dP)P = ((1+lp)/2) dP + lp P theta + (i/4)(1-lp^2) Q"
@@ -282,7 +287,10 @@ def _connection_text():
 
 def _curvature_text():
     from .monopole import monopole_curvature
-    f12, f31, f23 = monopole_curvature()  # raises on any factor mismatch
+    f12, f31, f23 = monopole_curvature()
+    if not curvature_factors_hold(f12, f31, f23):
+        raise RuntimeError("monopole curvature: the factorizations f = 2 M P "
+                           "and f P = f do not hold")
     lines = [
         "Monopole curvature dP ^ (dP)P"
         " = (i(1-lp)/4) (f12 s1^s2 + f31 s3^s1 + f23 s2^s3)",
@@ -301,12 +309,8 @@ def _curvature_text():
 
 
 def cmd_monopole(args):
-    try:
-        text = (_connection_text() if args.show == "connection"
-                else _curvature_text())
-    except RuntimeError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return 1
+    text = (_connection_text() if args.show == "connection"
+            else _curvature_text())
     _write_output(text, args.out)
     return 0
 

@@ -11,8 +11,10 @@ equivalently Gamma_ijk = eps_ikm gamma_mj with gamma = 2g - Tr(g) id.  The
 module computes the connection both from the closed form and by solving the
 9x9 linear system expressing torsion and cotorsion freeness, the defect
 tensors for torsion / cotorsion / metric compatibility, the braiding sigma,
-and curvature data (rho coefficients, Ricci, scalar curvature) by two
-independent routes.
+and curvature data (rho coefficients, Ricci, scalar curvature).  The
+curvature 2-forms come by two independent routes, :func:`curvature_2form`
+through the calculus and :func:`rho_2forms` by coefficient contraction;
+``verify`` compares them.
 
 All operations are generic over the scalar kind: exact ``Fraction`` entries
 stay exact end to end, ``float`` entries compute in floating point.
@@ -34,7 +36,7 @@ __all__ = [
     "qlc", "solve_qlc_linear", "torsion", "cotorsion",
     "metric_compat_defect", "nabla_g", "sigma",
     "curvature", "scalar_closed_form", "scalar_perturbation",
-    "curvature_2form",
+    "curvature_2form", "rho_2forms",
 ]
 
 _IDX = (0, 1, 2)
@@ -395,19 +397,23 @@ def _rho_contraction_tensor(rho, i):
     return out
 
 
+def rho_2forms(conn, g=None):
+    """Curvature 2-forms R(s^i) by coefficient contraction of the rho of
+    :func:`curvature`; returns (R(s^1), R(s^2), R(s^3))."""
+    rho = curvature(conn, g).rho
+    return tuple(_rho_contraction_tensor(rho, i) for i in (1, 2, 3))
+
+
 def curvature_2form(conn, g=None):
     """Curvature 2-forms R(s^i) computed through the calculus operations.
 
-    Evaluates (d (x) id - id ^ nabla) nabla on each basis 1-form and checks
-    the result against the coefficient contraction of :func:`curvature`; a
-    mismatch raises, since the two routes must agree identically.  Returns
+    Evaluates (d (x) id - id ^ nabla) nabla on each basis 1-form.  Returns
     the tuple (R(s^1), R(s^2), R(s^3)) of left-degree-2 tensor forms.
     """
     g = conn._metric_or(g)
     if not g.is_exact:
         raise TypeError("curvature_2form requires an exact metric")
     up = conn.raised(g)
-    rho = curvature(conn, g).rho
 
     def nabla_basis(k):
         out = TensorForm(1)
@@ -433,10 +439,5 @@ def curvature_2form(conn, g=None):
                 w = wedge(left, c2 * s_basis(mkey))
                 if w:
                     acc = acc - tensor(w, s_basis(n))
-        expected = _rho_contraction_tensor(rho, i)
-        if acc != expected:
-            raise RuntimeError(
-                "curvature routes disagree: calculus route does not match "
-                "the coefficient contraction")
         results.append(acc)
     return tuple(results)

@@ -2,7 +2,9 @@
 
 Each check re-derives one defining identity of the package from first
 principles and compares exactly (no floating point).  Reports carry the
-equation being checked so a failure names the violated identity.
+equation being checked so a failure names the violated identity.  The
+exact layer's compute functions do not check themselves; this registry does,
+and the CLI's ``monopole`` reports share its predicates.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from .forms import d, eps3, s_basis, s_from_dx, theta
 from .geometry import (Metric3, qlc, solve_qlc_linear,
                        connection_from_gamma_matrix, torsion, cotorsion,
                        metric_compat_defect, curvature, scalar_closed_form,
-                       curvature_2form)
+                       curvature_2form, rho_2forms)
 from .monopole import (AlgMatrix, FormMatrix, projector, projector_dP,
-                       coords, basis_relation_check, grassmann_connection,
+                       coords, grassmann_connection, grassmann_closed_form,
                        monopole_curvature, f23_factor)
 from .scalars import I, LP, ONE
 
-__all__ = ["SUITES", "run_suite", "iter_checks"]
+__all__ = ["SUITES", "run_suite", "iter_checks",
+           "connection_closed_form_holds", "curvature_factors_hold"]
 
 _IDX = (0, 1, 2)
 
@@ -113,16 +116,10 @@ def _check_s_recovery():
 # -- metric connection ---------------------------------------------------------
 
 
-def _check_qlc_defects():
-    for g in _random_metrics(5):
-        conn = qlc(g)
-        if not _tensor_is_zero(torsion(conn)):
-            return False
-        if not _tensor_is_zero(cotorsion(conn)):
-            return False
-        if not _tensor_is_zero(metric_compat_defect(conn)):
-            return False
-    return True
+def _vanishes_on_qlc(defect):
+    """A check that ``defect(qlc(g))`` vanishes on random metrics."""
+    return lambda: all(_tensor_is_zero(defect(qlc(g)))
+                       for g in _random_metrics(5))
 
 
 def _check_qlc_solver():
@@ -154,14 +151,9 @@ def _check_scalar_closed_form():
 
 
 def _check_two_form_route():
-    # curvature_2form compares the calculus route against the coefficient
-    # contraction internally and raises on any mismatch
     for g in _random_metrics(2, seed=14):
-        try:
-            forms = curvature_2form(qlc(g), g)
-        except RuntimeError:
-            return False
-        if len(forms) != 3:
+        conn = qlc(g)
+        if curvature_2form(conn, g) != rho_2forms(conn, g):
             return False
     return True
 
@@ -185,30 +177,39 @@ def _check_coords():
     return z.star() * z == x * (AlgElem.one() - x)
 
 
-def _check_connection_closed_form():
-    try:
-        grassmann_connection()
-    except RuntimeError:
-        return False
-    return True
+def _check_basis_relation():
+    # e^1 = (1 + lp - x, z) and e^2 = (z*, x)
+    x, z = coords()
+    x_lp = x - AlgElem.scalar(LP)
+    return (x_lp * (AlgElem.scalar(ONE + LP) - x) == z * z.star()
+            and x_lp * z == z * x)
 
 
-def _check_curvature_factors():
-    try:
-        f12, f31, f23 = monopole_curvature()
-    except RuntimeError:
-        return False
-    p = projector()
+def connection_closed_form_holds(conn):
+    """Whether ``conn`` equals the closed form of the Grassmann connection,
+    ((1+lp)/2) dP + lp P theta + (i(1-lp^2)/4) Q - (lp(1-lp)/2) theta Id."""
+    return conn == grassmann_closed_form()
+
+
+def _curvature_factor_matrices():
+    """The factors M in f = 2 M P of f12, f31 and f23."""
     lp_a = AlgElem.one() * LP
-    want12 = AlgMatrix([[X3 - lp_a, 0], [0, X3 + lp_a]]) @ p
-    want31 = AlgMatrix([[X2, I * lp_a], [-I * lp_a, X2]]) @ p
-    return (f12 - 2 * want12).is_zero() and (f31 - 2 * want31).is_zero()
+    return (AlgMatrix([[X3 - lp_a, 0], [0, X3 + lp_a]]),
+            AlgMatrix([[X2, I * lp_a], [-I * lp_a, X2]]),
+            AlgMatrix([[X1, lp_a], [lp_a, X1]]))
+
+
+def curvature_factors_hold(f12, f31, f23):
+    """Whether each curvature coefficient matrix factors as f = 2 M P with
+    M = diag(x3 - lp, x3 + lp), [[x2, i lp], [-i lp, x2]] and
+    [[x1, lp], [lp, x1]] respectively, and satisfies f P = f."""
+    p = projector()
+    return all(f == 2 * (m @ p) and f @ p == f
+               for f, m in zip((f12, f31, f23), _curvature_factor_matrices()))
 
 
 def _check_f23_factor():
-    lp_a = AlgElem.one() * LP
-    want = AlgMatrix([[X1, lp_a], [lp_a, X1]])
-    return (f23_factor() - want).is_zero()
+    return f23_factor() == _curvature_factor_matrices()[2]
 
 
 def _check_connection_star():
@@ -244,7 +245,13 @@ SUITES = {
     ),
     "qlc": (
         ("torsion vanishes",
-         "wedge(nabla) - d = 0", _check_qlc_defects),
+         "T_ijk = Gamma_ijk - Gamma_ikj - 2 g_im eps_mjk = 0",
+         _vanishes_on_qlc(torsion)),
+        ("cotorsion vanishes",
+         "C_ijk = Gamma_ijk - Gamma_jik - 2 g_km eps_mij = 0",
+         _vanishes_on_qlc(cotorsion)),
+        ("metric compatibility",
+         "Gamma_lik + Gamma_kil = 0", _vanishes_on_qlc(metric_compat_defect)),
         ("closed form solves the linear system",
          "Gamma_ijk = 2 eps_ikm g_mj + Tr(g) eps_ijk", _check_qlc_solver),
         ("round metric curvature",
@@ -260,17 +267,19 @@ SUITES = {
         ("step coordinates",
          "[x, z] = lp z, z* z = x (1 - x)", _check_coords),
         ("projective basis relation",
-         "(x - lp) e^1 = z e^2", basis_relation_check),
+         "(x - lp) e^1 = z e^2", _check_basis_relation),
         ("Grassmann connection closed form",
          "(dP)P = ((1+lp)/2) dP + lp P theta + (i/4)(1-lp^2) Q"
-         " - (lp(1-lp)/2) theta", _check_connection_closed_form),
+         " - (lp(1-lp)/2) theta",
+         lambda: connection_closed_form_holds(grassmann_connection())),
         ("connection star symmetry",
          "((dP)P)* = P dP", _check_connection_star),
         ("curvature factorizations",
          "f12 = 2 diag(x3 - lp, x3 + lp) P, f31 = 2 [[x2, i lp],"
-         " [-i lp, x2]] P", _check_curvature_factors),
-        ("third curvature factor",
-         "f23 = 2 [[x1, lp], [lp, x1]] P", _check_f23_factor),
+         " [-i lp, x2]] P, f23 = 2 [[x1, lp], [lp, x1]] P, f P = f",
+         lambda: curvature_factors_hold(*monopole_curvature())),
+        ("third curvature factor solved",
+         "f23 = 2 M P gives M = [[x1, lp], [lp, x1]]", _check_f23_factor),
     ),
 }
 

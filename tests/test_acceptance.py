@@ -17,9 +17,10 @@ from fuzzyqrg.forms import d, s_basis, s_from_dx, theta
 from fuzzyqrg.geometry import (
     Metric3, qlc, solve_qlc_linear, connection_from_gamma_matrix, torsion,
     cotorsion, metric_compat_defect, curvature, scalar_closed_form,
-    scalar_perturbation, curvature_2form)
+    scalar_perturbation, curvature_2form, rho_2forms)
 from fuzzyqrg.monopole import (
-    AlgMatrix, projector, coords, grassmann_connection, monopole_curvature)
+    AlgMatrix, projector, coords, grassmann_connection,
+    grassmann_closed_form, monopole_curvature)
 from fuzzyqrg.qgravity import (
     QGConfig, moment_set, mc_matrix_oracle, uvw_map, uvw_inverse, quad_form,
     quad_form_uvw, partial_Zu, sweep)
@@ -115,8 +116,8 @@ def test_criterion_3_dual_path_curvature():
             conn = qlc(g)
             assert curvature(conn, g).scalar == scalar_closed_form(g)
         for g in metrics[:10]:
-            forms = curvature_2form(qlc(g), g)  # raises on route mismatch
-            assert len(forms) == 3
+            conn = qlc(g)
+            assert curvature_2form(conn, g) == rho_2forms(conn, g)
 
 
 def test_criterion_4_calculus_identities():
@@ -134,13 +135,17 @@ def test_criterion_5_monopole_suite():
     with criterion(5, "monopole projector geometry", 10.0):
         p = projector()
         assert (p @ p - p).is_zero()
-        grassmann_connection()  # raises unless (dP)P matches the closed form
-        f12, f31, _f23 = monopole_curvature()
+        assert grassmann_connection() == grassmann_closed_form()
+        f12, f31, f23 = monopole_curvature()
         lp_a = AlgElem.one() * LP
         assert (f12 - 2 * (AlgMatrix([[X3 - lp_a, 0], [0, X3 + lp_a]]) @ p)
                 ).is_zero()
         assert (f31 - 2 * (AlgMatrix([[X2, I * lp_a], [-I * lp_a, X2]]) @ p)
                 ).is_zero()
+        assert (f23 - 2 * (AlgMatrix([[X1, lp_a], [lp_a, X1]]) @ p)
+                ).is_zero()
+        for f in (f12, f31, f23):
+            assert f @ p == f
         x, z = coords()
         assert commutator(x, z) == AlgElem.one() * LP * z
         assert z.star() * z == x * (AlgElem.one() - x)

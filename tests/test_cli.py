@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import fuzzyqrg
+from fuzzyqrg import monopole
 from fuzzyqrg.cli import main
+from fuzzyqrg.monopole import FormMatrix
 
 IDENTITY = "[[1,0,0],[0,1,0],[0,0,1]]"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -233,6 +235,28 @@ def test_monopole_curvature_report(capsys):
     assert rc == 0
     assert "f12" in out and "f31" in out and "f23" in out
     assert "f23: M = [[x1, lp], [lp, x1]]" in out
+
+
+def test_monopole_curvature_fails_on_spoiled_f23(monkeypatch, capsys):
+    original = FormMatrix.coefficient_matrix
+
+    def spoiled(self, *key):
+        block = original(self, *key)
+        return 2 * block if key == (2, 3) else block
+
+    monkeypatch.setattr(FormMatrix, "coefficient_matrix", spoiled)
+    rc, out, err = run_cli(capsys, "monopole", "curvature")
+    assert rc == 1
+    assert out == ""
+    assert "f = 2 M P" in err
+
+
+def test_monopole_connection_fails_off_closed_form(monkeypatch, capsys):
+    monkeypatch.setattr(monopole, "grassmann_connection", monopole.projector_dP)
+    rc, out, err = run_cli(capsys, "monopole", "connection")
+    assert rc == 1
+    assert out == ""
+    assert "closed form" in err
 
 
 def child_env():

@@ -1,0 +1,68 @@
+"""Property tests of the exact layer on random elements.
+
+Algebra elements are sums of normal-ordered monomials of degree at most 3
+with small Gaussian-rational coefficients, some of them times lp, so every
+product below stays far under the algebra's degree limit.
+"""
+
+from hypothesis import assume, given, settings, strategies as st
+
+from fuzzyqrg.algebra import AlgElem, DEGREE_LIMIT
+from fuzzyqrg.forms import d, theta
+from fuzzyqrg.scalars import GaussRational, ParamScalar, LP, ONE
+
+MAX_DEGREE = 3
+assert 2 * MAX_DEGREE < DEGREE_LIMIT
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_gauss = st.builds(GaussRational, _rational, _rational)
+_coeff = st.builds(lambda g, factor: ParamScalar.of(g) * factor,
+                   _gauss, st.sampled_from([ONE, LP]))
+_key = st.tuples(st.integers(0, MAX_DEGREE), st.integers(0, MAX_DEGREE),
+                 st.integers(0, 1)).filter(lambda k: sum(k) <= MAX_DEGREE)
+elements = st.lists(st.tuples(_key, _coeff), max_size=4).map(
+    lambda terms: sum((AlgElem.monomial(k, c) for k, c in terms),
+                      AlgElem.zero()))
+
+# polynomials of degree <= 2 in lp, and ratios of them
+_poly = st.lists(_gauss, min_size=1, max_size=3).map(
+    lambda cs: sum((ParamScalar.of(c) * LP ** k for k, c in enumerate(cs)),
+                   ParamScalar.zero()))
+scalars = st.tuples(_poly, _poly).map(
+    lambda nd: nd[0] / nd[1] if nd[1] else nd[0])
+
+_fast = settings(max_examples=20, deadline=None)
+
+
+@_fast
+@given(elements, elements)
+def test_star_involution_and_antihomomorphism(a, b):
+    assert a.star().star() == a
+    assert (a * b).star() == b.star() * a.star()
+
+
+@_fast
+@given(elements)
+def test_d_squared_vanishes(a):
+    assert d(d(a)).is_zero()
+
+
+@_fast
+@given(elements, elements)
+def test_leibniz_rule(a, b):
+    assert d(a * b) == d(a) * b + a * d(b)
+
+
+@_fast
+@given(elements)
+def test_inner_calculus(a):
+    th = theta()
+    assert d(a) == th * a - a * th
+
+
+@settings(max_examples=30, deadline=None)
+@given(scalars, scalars, scalars)
+def test_param_scalar_field_laws(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assume(a)
+    assert a * a.inverse() == ONE

@@ -11,7 +11,8 @@ from fuzzyqrg.scalars import I, LP
 from fuzzyqrg.geometry import (
     Metric3, Connection3, qlc, solve_qlc_linear, torsion, cotorsion,
     metric_compat_defect, nabla_g, sigma, curvature, scalar_closed_form,
-    scalar_perturbation, curvature_2form, connection_from_gamma_matrix)
+    scalar_perturbation, curvature_2form, rho_2forms,
+    connection_from_gamma_matrix)
 
 IDX = (0, 1, 2)
 
@@ -229,7 +230,8 @@ def test_curvature_2form_agrees_on_random_metrics():
     rng = random.Random(97)
     for _ in range(5):
         g = rand_metric(rng, span=3)
-        curvature_2form(qlc(g))  # raises internally on route disagreement
+        conn = qlc(g)
+        assert curvature_2form(conn) == rho_2forms(conn)
 
 
 def test_float_metric_pathway():

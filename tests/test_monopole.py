@@ -9,9 +9,10 @@ from fuzzyqrg.algebra import AlgElem, commutator, X1, X2, X3
 from fuzzyqrg.forms import DiffForm, d, s_basis
 from fuzzyqrg.monopole import (
     AlgMatrix, FormMatrix, coords, projector, projector_dP,
-    basis_relation_check, grassmann_connection, monopole_curvature,
+    grassmann_connection, grassmann_closed_form, monopole_curvature,
     f23_factor,
 )
+from fuzzyqrg.verify import iter_checks
 
 
 def test_projector_is_idempotent():
@@ -38,7 +39,9 @@ def test_step_coordinates():
 
 
 def test_projective_basis_relation():
-    assert basis_relation_check()
+    (check,) = [fn for _, description, _, fn in iter_checks("monopole")
+                if description == "projective basis relation"]
+    assert check() is True
 
 
 def test_dP_entries():
@@ -67,16 +70,15 @@ def test_connection_star_is_P_dP():
 
 
 def test_grassmann_connection_closed_form():
-    # grassmann_connection raises if (dP)P deviates from its closed form
     conn = grassmann_connection()
     assert conn.degree == 1
     p = projector()
     dp = projector_dP()
     assert conn == dp @ p
+    assert conn == grassmann_closed_form()
 
 
 def test_curvature_factorizations():
-    # monopole_curvature raises unless f12 and f31 factor through P
     f12, f31, f23 = monopole_curvature()
     p = projector()
     lp_a = AlgElem.scalar(LP)
@@ -84,6 +86,7 @@ def test_curvature_factorizations():
     zero = AlgElem.zero()
     assert f12 == 2 * (AlgMatrix([[X3 - lp_a, zero], [zero, X3 + lp_a]]) @ p)
     assert f31 == 2 * (AlgMatrix([[X2, i_lp], [-i_lp, X2]]) @ p)
+    assert f23 == 2 * (AlgMatrix([[X1, lp_a], [lp_a, X1]]) @ p)
 
 
 def test_curvature_lives_on_the_bundle():
