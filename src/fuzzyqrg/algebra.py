@@ -46,10 +46,6 @@ def _acc(d, key, coeff):
         del d[key]
 
 
-def _scale_items(items, k):
-    return tuple((key, c * k) for key, c in items)
-
-
 @lru_cache(maxsize=None)
 def _mono_times_gen(a, b, c, g):
     """Normal-ordered expansion of (x1^a x2^b x3^c) * x_g.

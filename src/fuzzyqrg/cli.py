@@ -79,7 +79,7 @@ def build_parser():
                         "repeat the flag for several moments")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--resolution", type=int, default=48)
-    s.add_argument("--format", default="csv", choices=["csv", "json", "text"])
+    s.add_argument("--format", default="csv", choices=["csv", "json"])
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_qg_sweep)
 

@@ -13,16 +13,18 @@ in degree 0: d a = theta a - a theta with theta = (1/(2 i lp)) x_i s^i.
 ``DiffForm`` holds one homogeneous degree k in {0,1,2,3} as a map from
 sorted index tuples to algebra coefficients (coefficients on the left, which
 is no restriction since the basis is central).  ``TensorForm`` holds
-elements of Omega^k (x)_A Omega^1 for k in {1,2}.
+elements of Omega^k (x)_A Omega^1 for k in {1,2}.  Both take their linear
+structure (sums, negation, left multiples, equality, rendering) from
+``FormSum``.
 """
 
 from __future__ import annotations
 
 from .scalars import ParamScalar, ONE, I, LP
-from .algebra import AlgElem
+from .algebra import AlgElem, _acc
 
 __all__ = [
-    "DiffForm", "TensorForm", "d", "wedge", "tensor",
+    "FormSum", "DiffForm", "TensorForm", "d", "wedge", "tensor",
     "theta", "s_from_dx", "partials", "s_basis", "EPS", "eps3",
 ]
 
@@ -67,40 +69,30 @@ def _merge(left, right):
 
 
 def _coerce_coeff(c):
-    if isinstance(c, AlgElem):
-        return c
-    return AlgElem.scalar(c)
+    return c if isinstance(c, AlgElem) else AlgElem.scalar(c)
 
 
-class DiffForm:
-    """Homogeneous differential form of degree 0..3."""
+class FormSum:
+    """Linear structure shared by ``DiffForm`` and ``TensorForm``.
 
-    __slots__ = ("degree", "components")
+    ``components`` maps basis keys to nonzero algebra coefficients.  A
+    subclass names its grade (``grade``), validates and normalises a key
+    (``_check_key``) and renders one (``_basis``).
+    """
 
-    def __init__(self, degree, components=None):
-        if degree not in (0, 1, 2, 3):
-            raise ValueError(f"form degree must be 0..3, got {degree}")
-        self.degree = degree
+    __slots__ = ("components",)
+
+    def _fill(self, components):
         comps = {}
-        if components:
-            valid = _DEGREE_KEYS[degree]
-            for key, coeff in components.items():
-                key = tuple(key)
-                if key not in valid:
-                    raise ValueError(f"bad degree-{degree} index key {key}")
-                coeff = _coerce_coeff(coeff)
-                if coeff:
-                    comps[key] = coeff
+        for key, coeff in (components or {}).items():
+            key = self._check_key(key)
+            coeff = _coerce_coeff(coeff)
+            if coeff:
+                comps[key] = coeff
         self.components = comps
 
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def zero(cls, degree=0):
-        return cls(degree)
-
-    @classmethod
-    def from_alg(cls, a):
-        return cls(0, {(): _coerce_coeff(a)})
+    def _like(self, components):
+        return type(self)(self.grade, components)
 
     # -- structure ---------------------------------------------------------
     def is_zero(self):
@@ -109,50 +101,85 @@ class DiffForm:
     def __bool__(self):
         return bool(self.components)
 
-    def component(self, *key):
-        return self.components.get(tuple(key), AlgElem.zero())
-
     # -- linear structure -----------------------------------------------
-    def _check_same_degree(self, other):
-        if self.degree != other.degree:
-            raise ValueError(
-                f"degree mismatch: {self.degree} vs {other.degree}")
-
     def __add__(self, other):
-        if not isinstance(other, DiffForm):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        self._check_same_degree(other)
+        if self.grade != other.grade:
+            raise ValueError(
+                f"degree mismatch: {self.grade} vs {other.grade}")
         out = dict(self.components)
         for key, c in other.components.items():
-            s = out.get(key, AlgElem.zero()) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return DiffForm(self.degree, out)
+            _acc(out, key, c)
+        return self._like(out)
 
     def __sub__(self, other):
-        if not isinstance(other, DiffForm):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return DiffForm(self.degree,
-                        {k: -v for k, v in self.components.items()})
+        return self._like({k: -v for k, v in self.components.items()})
+
+    def __rmul__(self, other):
+        """Left multiplication by an algebra element or scalar."""
+        o = _coerce_coeff(other)
+        return self._like({k: o * v for k, v in self.components.items()})
+
+    # -- comparison / rendering ---------------------------------------------
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.grade == other.grade \
+            and self.components == other.components
+
+    def __str__(self):
+        if not self.components:
+            return "0"
+        return " + ".join(f"({self.components[key]}) {self._basis(key)}"
+                          for key in sorted(self.components))
+
+    __repr__ = __str__
+
+
+def _wedge_name(key):
+    return "^".join(f"s{i}" for i in key) or "1"
+
+
+class DiffForm(FormSum):
+    """Homogeneous differential form of degree 0..3."""
+
+    __slots__ = ("degree",)
+
+    def __init__(self, degree, components=None):
+        if degree not in (0, 1, 2, 3):
+            raise ValueError(f"form degree must be 0..3, got {degree}")
+        self.degree = degree
+        self._fill(components)
+
+    grade = property(lambda self: self.degree)
+
+    def _check_key(self, key):
+        key = tuple(key)
+        if key not in _DEGREE_KEYS[self.degree]:
+            raise ValueError(f"bad degree-{self.degree} index key {key}")
+        return key
+
+    _basis = staticmethod(_wedge_name)
+
+    @classmethod
+    def from_alg(cls, a):
+        return cls(0, {(): _coerce_coeff(a)})
+
+    def component(self, *key):
+        return self.components.get(tuple(key), AlgElem.zero())
 
     def __mul__(self, other):
         """Right multiplication by an algebra element or scalar."""
         if isinstance(other, DiffForm):
             return NotImplemented
         o = _coerce_coeff(other)
-        return DiffForm(self.degree,
-                        {k: v * o for k, v in self.components.items()})
-
-    def __rmul__(self, other):
-        """Left multiplication by an algebra element or scalar."""
-        o = _coerce_coeff(other)
-        return DiffForm(self.degree,
-                        {k: o * v for k, v in self.components.items()})
+        return self._like({k: v * o for k, v in self.components.items()})
 
     # -- calculus ------------------------------------------------------------
     def wedge(self, other):
@@ -161,7 +188,6 @@ class DiffForm:
         deg = self.degree + other.degree
         if deg > 3:
             return DiffForm(3)
-        out = DiffForm(deg)
         acc = {}
         for kl, cl in self.components.items():
             for kr, cr in other.components.items():
@@ -169,34 +195,13 @@ class DiffForm:
                 if m is None:
                     continue
                 key, sign = m
-                coeff = cl * cr if sign > 0 else -(cl * cr)
-                cur = acc.get(key)
-                acc[key] = coeff if cur is None else cur + coeff
+                _acc(acc, key, cl * cr if sign > 0 else -(cl * cr))
         return DiffForm(deg, acc)
 
     def star(self):
         """Graded star; every basis wedge monomial is star-fixed, so this
         conjugates coefficients componentwise."""
-        return DiffForm(self.degree,
-                        {k: v.star() for k, v in self.components.items()})
-
-    # -- comparison / rendering ---------------------------------------------
-    def __eq__(self, other):
-        if not isinstance(other, DiffForm):
-            return NotImplemented
-        return self.degree == other.degree \
-            and self.components == other.components
-
-    def __str__(self):
-        if not self.components:
-            return "0"
-        parts = []
-        for key in sorted(self.components):
-            basis = "^".join(f"s{i}" for i in key) if key else "1"
-            parts.append(f"({self.components[key]}) {basis}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
+        return self._like({k: v.star() for k, v in self.components.items()})
 
 
 def s_basis(i):
@@ -234,11 +239,8 @@ def _ds(i):
             e = eps3(i, j, k)
             if not e:
                 continue
-            m = _merge((j,), (k,))
-            key, sign = m
-            coeff = AlgElem.scalar(-half * e * sign)
-            cur = comps.get(key, AlgElem.zero())
-            comps[key] = cur + coeff
+            key, sign = _merge((j,), (k,))
+            _acc(comps, key, AlgElem.scalar(-half * e * sign))
     return DiffForm(2, comps)
 
 
@@ -341,89 +343,38 @@ def partials(a):
     return tuple(da.component(i) for i in (1, 2, 3))
 
 
-class TensorForm:
+class TensorForm(FormSum):
     """Element of Omega^k (x)_A Omega^1 for k in {1, 2}.
 
     Components map (left_key, right_index) to algebra coefficients.
     """
 
-    __slots__ = ("left_degree", "components")
+    __slots__ = ("left_degree",)
 
     def __init__(self, left_degree, components=None):
         if left_degree not in (1, 2):
             raise ValueError(
                 f"tensor left degree must be 1 or 2, got {left_degree}")
         self.left_degree = left_degree
-        comps = {}
-        if components:
-            valid = _DEGREE_KEYS[left_degree]
-            for (lkey, r), coeff in components.items():
-                lkey = tuple(lkey)
-                if lkey not in valid or r not in (1, 2, 3):
-                    raise ValueError(f"bad tensor key {(lkey, r)}")
-                coeff = _coerce_coeff(coeff)
-                if coeff:
-                    comps[(lkey, r)] = coeff
-        self.components = comps
+        self._fill(components)
 
-    @classmethod
-    def zero(cls, left_degree=1):
-        return cls(left_degree)
+    grade = property(lambda self: self.left_degree)
 
-    def is_zero(self):
-        return not self.components
+    def _check_key(self, key):
+        lkey, r = key
+        lkey = tuple(lkey)
+        if lkey not in _DEGREE_KEYS[self.left_degree] or r not in (1, 2, 3):
+            raise ValueError(f"bad tensor key {(lkey, r)}")
+        return lkey, r
 
-    def __bool__(self):
-        return bool(self.components)
+    @staticmethod
+    def _basis(key):
+        lkey, r = key
+        return f"{_wedge_name(lkey)}(x)s{r}"
 
     def component(self, left_key, right_index):
         return self.components.get(
             (tuple(left_key), right_index), AlgElem.zero())
-
-    def __add__(self, other):
-        if not isinstance(other, TensorForm):
-            return NotImplemented
-        if self.left_degree != other.left_degree:
-            raise ValueError("tensor degree mismatch")
-        out = dict(self.components)
-        for key, c in other.components.items():
-            s = out.get(key, AlgElem.zero()) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return TensorForm(self.left_degree, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorForm(self.left_degree,
-                          {k: -v for k, v in self.components.items()})
-
-    def __rmul__(self, other):
-        o = _coerce_coeff(other)
-        return TensorForm(self.left_degree,
-                          {k: o * v for k, v in self.components.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorForm):
-            return NotImplemented
-        return self.left_degree == other.left_degree \
-            and self.components == other.components
-
-    def __str__(self):
-        if not self.components:
-            return "0"
-        parts = []
-        for (lkey, r) in sorted(self.components):
-            basis = "^".join(f"s{i}" for i in lkey)
-            parts.append(f"({self.components[(lkey, r)]}) {basis}(x)s{r}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 def tensor(omega, eta):
@@ -437,8 +388,5 @@ def tensor(omega, eta):
     out = {}
     for lkey, cl in omega.components.items():
         for (r,), cr in eta.components.items():
-            coeff = cl * cr
-            if coeff:
-                cur = out.get((lkey, r))
-                out[(lkey, r)] = coeff if cur is None else cur + coeff
+            _acc(out, (lkey, r), cl * cr)
     return TensorForm(omega.degree, out)

@@ -332,9 +332,6 @@ def scalar_perturbation(eps_matrix):
 # --------------------------------------------------------------------------
 # braiding and the 2-form curvature route (exact algebra-valued pathway)
 
-_HALF = ParamScalar.of(Fraction(1, 2))
-
-
 def _as_alg(v):
     if isinstance(v, AlgElem):
         return v

@@ -15,19 +15,22 @@ z* z = x (1 - x).  The Grassmann connection (dP)P has the closed form
 and the curvature dP ^ (dP)P = (i(1-lp)/4)(f12 s1^s2 + f31 s3^s1
 + f23 s2^s3) with each coefficient matrix factoring through P on the right.
 The functions here compute; ``verify`` checks these identities.
+``AlgMatrix`` and ``FormMatrix`` take their linear structure (sums,
+negation, scalar multiples, star, equality, rendering) from ``Mat2``.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .scalars import ParamScalar, ONE, I, LP
 from .algebra import AlgElem, X1, X2, X3
-from .forms import DiffForm, d, s_basis, theta
+from .forms import DiffForm, _coerce_coeff, d, s_basis, theta
 from .linalg import solve_overdetermined
 
 __all__ = [
-    "AlgMatrix", "FormMatrix", "coords", "projector", "projector_dP",
+    "Mat2", "AlgMatrix", "FormMatrix", "coords", "projector", "projector_dP",
     "grassmann_connection", "grassmann_closed_form", "monopole_curvature",
     "f23_factor",
 ]
@@ -35,19 +38,68 @@ __all__ = [
 _R2 = (0, 1)
 
 
-def _as_alg(v):
-    return v if isinstance(v, AlgElem) else AlgElem.scalar(v)
+def _product(left, right, mul):
+    """Rows of the 2x2 product of the row tuples ``left`` and ``right``,
+    with ``mul`` as the product of two entries."""
+    return [[mul(left[a][0], right[0][c]) + mul(left[a][1], right[1][c])
+             for c in _R2] for a in _R2]
 
 
-class AlgMatrix:
-    """2x2 matrix over the fuzzy sphere algebra."""
+class Mat2:
+    """Linear structure shared by ``AlgMatrix`` and ``FormMatrix``: a 2x2
+    tuple of rows ``m`` with entrywise sums, scalar multiples and star."""
 
     __slots__ = ("m",)
 
-    def __init__(self, rows):
-        self.m = tuple(tuple(_as_alg(v) for v in row) for row in rows)
+    def _check_shape(self):
         if len(self.m) != 2 or any(len(r) != 2 for r in self.m):
             raise ValueError("expected a 2x2 matrix")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)([[self.m[a][c] + other.m[a][c] for c in _R2]
+                           for a in _R2])
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)([[self.m[a][c] - other.m[a][c] for c in _R2]
+                           for a in _R2])
+
+    def __neg__(self):
+        return type(self)([[-v for v in row] for row in self.m])
+
+    def __rmul__(self, k):
+        return type(self)([[k * v for v in row] for row in self.m])
+
+    def star(self):
+        """Conjugate transpose with entrywise star."""
+        return type(self)([[self.m[c][a].star() for c in _R2] for a in _R2])
+
+    def is_zero(self):
+        return all(not v for row in self.m for v in row)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.m == other.m
+
+    def __str__(self):
+        return "[[{}, {}],\n [{}, {}]]".format(
+            self.m[0][0], self.m[0][1], self.m[1][0], self.m[1][1])
+
+    __repr__ = __str__
+
+
+class AlgMatrix(Mat2):
+    """2x2 matrix over the fuzzy sphere algebra."""
+
+    __slots__ = ()
+
+    def __init__(self, rows):
+        self.m = tuple(tuple(_coerce_coeff(v) for v in row) for row in rows)
+        self._check_shape()
 
     @classmethod
     def identity(cls):
@@ -62,32 +114,7 @@ class AlgMatrix:
     def __matmul__(self, other):
         if not isinstance(other, AlgMatrix):
             return NotImplemented
-        return AlgMatrix([
-            [sum((self.m[a][b] * other.m[b][c] for b in _R2),
-                 AlgElem.zero()) for c in _R2]
-            for a in _R2])
-
-    def __add__(self, other):
-        if not isinstance(other, AlgMatrix):
-            return NotImplemented
-        return AlgMatrix([[self.m[a][c] + other.m[a][c] for c in _R2]
-                          for a in _R2])
-
-    def __sub__(self, other):
-        if not isinstance(other, AlgMatrix):
-            return NotImplemented
-        return AlgMatrix([[self.m[a][c] - other.m[a][c] for c in _R2]
-                          for a in _R2])
-
-    def __neg__(self):
-        return AlgMatrix([[-v for v in row] for row in self.m])
-
-    def __rmul__(self, k):
-        return AlgMatrix([[k * v for v in row] for row in self.m])
-
-    def star(self):
-        """Conjugate transpose with entrywise star."""
-        return AlgMatrix([[self.m[c][a].star() for c in _R2] for a in _R2])
+        return AlgMatrix(_product(self.m, other.m, operator.mul))
 
     def trace(self):
         return self.m[0][0] + self.m[1][1]
@@ -96,30 +123,15 @@ class AlgMatrix:
         """Entrywise product with a single differential form on the right."""
         return FormMatrix([[self.m[a][c] * w for c in _R2] for a in _R2])
 
-    def is_zero(self):
-        return all(not v for row in self.m for v in row)
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgMatrix):
-            return NotImplemented
-        return self.m == other.m
-
-    def __str__(self):
-        return "[[{}, {}],\n [{}, {}]]".format(
-            self.m[0][0], self.m[0][1], self.m[1][0], self.m[1][1])
-
-    __repr__ = __str__
-
-
-class FormMatrix:
+class FormMatrix(Mat2):
     """2x2 matrix of homogeneous differential forms of equal degree."""
 
-    __slots__ = ("m", "degree")
+    __slots__ = ("degree",)
 
     def __init__(self, rows):
         self.m = tuple(tuple(row) for row in rows)
-        if len(self.m) != 2 or any(len(r) != 2 for r in self.m):
-            raise ValueError("expected a 2x2 matrix")
+        self._check_shape()
         degs = {v.degree for row in self.m for v in row}
         if len(degs) != 1:
             raise ValueError("mixed form degrees in matrix")
@@ -129,72 +141,17 @@ class FormMatrix:
         """Right action of an algebra-valued matrix."""
         if not isinstance(other, AlgMatrix):
             return NotImplemented
-        deg = self.degree
-        out = []
-        for a in _R2:
-            row = []
-            for c in _R2:
-                acc = DiffForm(deg)
-                for b in _R2:
-                    acc = acc + self.m[a][b] * other.m[b][c]
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(out)
+        return FormMatrix(_product(self.m, other.m, operator.mul))
 
     def wedge(self, other):
         if not isinstance(other, FormMatrix):
             raise TypeError("wedge expects a FormMatrix")
-        deg = self.degree + other.degree
-        out = []
-        for a in _R2:
-            row = []
-            for c in _R2:
-                acc = DiffForm(deg)
-                for b in _R2:
-                    acc = acc + self.m[a][b].wedge(other.m[b][c])
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(out)
-
-    def __add__(self, other):
-        if not isinstance(other, FormMatrix):
-            return NotImplemented
-        return FormMatrix([[self.m[a][c] + other.m[a][c] for c in _R2]
-                           for a in _R2])
-
-    def __sub__(self, other):
-        if not isinstance(other, FormMatrix):
-            return NotImplemented
-        return FormMatrix([[self.m[a][c] - other.m[a][c] for c in _R2]
-                           for a in _R2])
-
-    def __neg__(self):
-        return FormMatrix([[-v for v in row] for row in self.m])
-
-    def __rmul__(self, k):
-        return FormMatrix([[k * v for v in row] for row in self.m])
-
-    def star(self):
-        return FormMatrix([[self.m[c][a].star() for c in _R2] for a in _R2])
+        return FormMatrix(_product(self.m, other.m, DiffForm.wedge))
 
     def coefficient_matrix(self, *key):
         """Algebra matrix of components on a basis wedge monomial."""
         return AlgMatrix([[self.m[a][c].component(*key) for c in _R2]
                           for a in _R2])
-
-    def is_zero(self):
-        return all(v.is_zero() for row in self.m for v in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, FormMatrix):
-            return NotImplemented
-        return self.degree == other.degree and self.m == other.m
-
-    def __str__(self):
-        return "[[{}, {}],\n [{}, {}]]".format(
-            self.m[0][0], self.m[0][1], self.m[1][0], self.m[1][1])
-
-    __repr__ = __str__
 
 
 # --------------------------------------------------------------------------

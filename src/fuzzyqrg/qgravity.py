@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -466,14 +466,11 @@ def sweep(cfg, L_values, specs=((1,),)):
     deterministic for a fixed config.
     """
     specs = [tuple(s) for s in specs]
+    wanted = list(dict.fromkeys(list(_RATIO_SPECS) + specs))
     l_max = float(max(L_values))
     rows = []
     for L in L_values:
-        c = QGConfig(G=cfg.G, eps=cfg.eps, L=float(L),
-                     resolution=cfg.resolution, samples=cfg.samples,
-                     seed=cfg.seed)
-        wanted = list(dict.fromkeys(list(_RATIO_SPECS) + specs))
-        est = moment_set(c, wanted)
+        est = moment_set(replace(cfg, L=float(L)), wanted)
         m1, m12, m11 = est[(1,)], est[(1, 2)], est[(1, 1)]
         if float(L) == l_max:
             v = m1.value
@@ -491,10 +488,7 @@ def sweep(cfg, L_values, specs=((1,),)):
                 "estimate": e.value, "error": e.error,
                 "ratio_16over3": ratio, "uncertainty": unc,
             })
-    halved = QGConfig(G=cfg.G, eps=cfg.eps / 2.0, L=l_max,
-                      resolution=cfg.resolution, samples=cfg.samples,
-                      seed=cfg.seed)
-    vh = moments(halved, (1,)).value
+    vh = moments(replace(cfg, eps=cfg.eps / 2.0, L=l_max), (1,)).value
     report = {
         "L": l_max, "eps": cfg.eps, "eps_half": cfg.eps / 2.0,
         "mean_lambda": v, "mean_lambda_half": vh,

@@ -300,9 +300,6 @@ class ParamScalar:
     def __bool__(self):
         return bool(self.num)
 
-    def is_constant(self):
-        return len(self.num) <= 1 and self.den == (_G1,)
-
     # -- field operations -------------------------------------------------
     def __add__(self, other):
         o = _coerce(other)

@@ -295,11 +295,19 @@ def iter_checks(suite):
 
 
 def run_suite(suite, write=print):
-    """Run a suite, print one line per identity, return overall success."""
+    """Run a suite, print one line per identity, return overall success.
+
+    A check that raises is reported as a FAIL line naming the exception, and
+    the remaining checks still run.
+    """
     ok = True
     for name, description, anchor, fn in iter_checks(suite):
-        passed = bool(fn())
+        try:
+            passed = bool(fn())
+            verdict = "PASS" if passed else "FAIL"
+        except Exception as e:
+            passed = False
+            verdict = "FAIL (%s: %s)" % (type(e).__name__, e)
         ok = ok and passed
-        write("%s: %s [%s]: %s"
-              % (name, description, anchor, "PASS" if passed else "FAIL"))
+        write("%s: %s [%s]: %s" % (name, description, anchor, verdict))
     return ok

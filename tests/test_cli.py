@@ -174,6 +174,13 @@ def test_qg_sweep_json(capsys):
     assert "eps_stability" in doc
 
 
+def test_qg_sweep_rejects_text_format():
+    with pytest.raises(SystemExit) as exc:
+        main(["qg-sweep", "--Lmin", "2", "--Lmax", "3", "--steps", "2",
+              "--eps", "0.1", "--resolution", "24", "--format", "text"])
+    assert exc.value.code == 2
+
+
 def test_qg_sweep_bad_moments(capsys):
     rc, out, err = run_cli(capsys, "qg-sweep", "--Lmin", "2", "--Lmax", "3",
                            "--moments", "1,4")

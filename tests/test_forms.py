@@ -167,3 +167,30 @@ def test_tensor_bilinear():
 def test_tensor_degree_checks():
     with pytest.raises(ValueError):
         tensor(S1, wedge(S1, S2))
+
+
+def test_diff_and_tensor_forms_do_not_mix():
+    t = tensor(S1, S2)
+    with pytest.raises(TypeError):
+        S1 + t
+    with pytest.raises(TypeError):
+        t + S1
+    assert (DiffForm(1) == TensorForm(1)) is False
+
+
+def test_sums_require_equal_grade():
+    with pytest.raises(ValueError):
+        DiffForm(1) + DiffForm(2)
+    with pytest.raises(ValueError):
+        S1 + wedge(S1, S2)
+    with pytest.raises(ValueError):
+        TensorForm(1) + TensorForm(2)
+    with pytest.raises(ValueError):
+        tensor(S1, S2) + tensor(wedge(S1, S2), S3)
+
+
+def test_tensor_form_rendering():
+    assert str(tensor(X1 * S1 + LP * S3, X3 * S2 + S1)) == (
+        "((1) * x1) s1(x)s1 + ((1) * x1 x3) s1(x)s2"
+        " + ((lp) * 1) s3(x)s1 + ((lp) * x3) s3(x)s2")
+    assert str(tensor(wedge(S1, S2), I * S3)) == "((i) * 1) s1^s2(x)s3"

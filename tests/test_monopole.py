@@ -149,6 +149,22 @@ def test_form_matrix_degree_checks():
         fm.wedge(projector())
 
 
+def test_alg_and_form_matrices_do_not_mix():
+    s1 = s_basis(1)
+    fm = FormMatrix([[s1, s1], [s1, s1]])
+    with pytest.raises(TypeError):
+        projector() + fm
+    with pytest.raises(TypeError):
+        projector() @ fm
+
+
+def test_form_matrix_rendering():
+    s1, s2, s3 = s_basis(1), s_basis(2), s_basis(3)
+    fm = FormMatrix([[X1 * s1, LP * s2], [-s3, s1 + I * X2 * s3]])
+    assert str(fm) == ("[[((1) * x1) s1, ((lp) * 1) s2],\n"
+                       " [((-1) * 1) s3, ((1) * 1) s1 + ((i) * x2) s3]]")
+
+
 def test_form_matrix_coefficient_extraction():
     dp = projector_dP()
     c1 = dp.coefficient_matrix(1)

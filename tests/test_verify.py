@@ -2,6 +2,8 @@
 
 import pytest
 
+from fuzzyqrg import cli
+from fuzzyqrg.linalg import SingularSystemError
 from fuzzyqrg.verify import SUITES, iter_checks, run_suite
 
 CHECKS = list(iter_checks("all"))
@@ -36,3 +38,23 @@ def test_failing_check_reported_once(monkeypatch):
     failed = [line for line in lines if line.endswith(": FAIL")]
     assert failed == ["qlc: %s [%s]: FAIL" % (description, anchor)]
     assert len(lines) == len(entries)
+
+
+def test_raising_check_reported_and_suite_continues(monkeypatch, capsys):
+    entries = list(SUITES["monopole"])
+    description, anchor, _ = entries[3]
+
+    def inconsistent():
+        raise SingularSystemError("system is inconsistent")
+
+    entries[3] = (description, anchor, inconsistent)
+    monkeypatch.setitem(SUITES, "monopole", tuple(entries))
+    lines = []
+    assert run_suite("monopole", write=lines.append) is False
+    failed = [line for line in lines if not line.endswith(": PASS")]
+    assert failed == ["monopole: %s [%s]: FAIL (SingularSystemError: system "
+                      "is inconsistent)" % (description, anchor)]
+    assert len(lines) == len(entries)
+    assert lines[-1].startswith("monopole: %s [" % entries[-1][0])
+    assert cli.main(["verify", "--suite", "monopole"]) == 1
+    assert capsys.readouterr().out.count("FAIL") == 1
