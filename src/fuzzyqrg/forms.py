@@ -20,6 +20,8 @@ structure (sums, negation, left multiples, equality, rendering) from
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .scalars import ParamScalar, ONE, I, LP
 from .algebra import AlgElem, _acc
 
@@ -233,7 +235,7 @@ _DX = {g: _dx(g) for g in (1, 2, 3)}
 def _ds(i):
     """d s^i = -(1/2) eps_ijk s^j ^ s^k."""
     comps = {}
-    half = ParamScalar.of(1) / 2
+    half = ParamScalar.of(Fraction(1, 2))
     for j in (1, 2, 3):
         for k in (1, 2, 3):
             e = eps3(i, j, k)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .scalars import ParamScalar, ONE, I, LP
 from .algebra import AlgElem, commutator
 from .forms import (
-    DiffForm, TensorForm, d, wedge, tensor, s_basis, EPS)
+    DiffForm, TensorForm, _coerce_coeff, d, wedge, tensor, s_basis, EPS)
 from .linalg import solve_square, SingularSystemError
 
 __all__ = [
@@ -290,7 +290,8 @@ def curvature(conn, g=None):
             tuple(
                 up[i][j][k] / 4
                 - sum(EPS[j][m][n] * up[i][m][l] * up[l][n][k]
-                      for m in _IDX for n in _IDX for l in _IDX) / 8
+                      for m in _IDX for n in _IDX if EPS[j][m][n]
+                      for l in _IDX) / 8
                 for k in _IDX)
             for j in _IDX)
         for i in _IDX)
@@ -332,14 +333,6 @@ def scalar_perturbation(eps_matrix):
 # --------------------------------------------------------------------------
 # braiding and the 2-form curvature route (exact algebra-valued pathway)
 
-def _as_alg(v):
-    if isinstance(v, AlgElem):
-        return v
-    if isinstance(v, float):
-        raise TypeError("algebra-valued operations require exact entries")
-    return AlgElem.scalar(v)
-
-
 def sigma(gamma_up, i, j):
     """Braiding sigma(s^i (x) s^j) for connection coefficients Gamma^i_jk.
 
@@ -356,7 +349,7 @@ def sigma(gamma_up, i, j):
     xj = AlgElem.generator(j)
     for l in (1, 2, 3):
         for k in (1, 2, 3):
-            gam = _as_alg(gamma_up[i - 1][l - 1][k - 1])
+            gam = _coerce_coeff(gamma_up[i - 1][l - 1][k - 1])
             if not gam:
                 continue
             c1 = AlgElem.zero()
@@ -419,20 +412,20 @@ def curvature_2form(conn, g=None):
                 c = up[k - 1][m - 1][n - 1]
                 if c:
                     out = out + tensor(
-                        AlgElem.scalar(ParamScalar.of(-c) / 2) * s_basis(m),
+                        AlgElem.scalar(ParamScalar.of(-c / 2)) * s_basis(m),
                         s_basis(n))
         return out
 
+    nablas = {k: nabla_basis(k) for k in (1, 2, 3)}
     results = []
     for i in (1, 2, 3):
-        t = nabla_basis(i)
         acc = TensorForm(2)
-        for ((jkey,), k), coeff in t.components.items():
+        for ((jkey,), k), coeff in nablas[i].components.items():
             left = coeff * s_basis(jkey)
             # (d (x) id)
             acc = acc + tensor(d(left), s_basis(k))
             # -(id ^ nabla)
-            for ((mkey,), n), c2 in nabla_basis(k).components.items():
+            for ((mkey,), n), c2 in nablas[k].components.items():
                 w = wedge(left, c2 * s_basis(mkey))
                 if w:
                     acc = acc - tensor(w, s_basis(n))

@@ -2,10 +2,25 @@
 
 The coefficient field used by the symbolic layers is Q(i)(lp): rational
 functions in a single formal parameter ``lp`` with Gaussian-rational
-coefficients.  Everything is exact (arbitrary-precision integers underneath)
-and kept in a canonical form -- numerator and denominator reduced by their
-polynomial gcd, denominator monic -- so equality is structural and
-``a - b`` is the zero object iff ``a == b``.
+coefficients.  ``GaussRational`` is the public type of one coefficient.
+
+A ``ParamScalar`` stores its numerator and its denominator each as a
+polynomial over the Gaussian integers -- a tuple of ``(re, im)`` int pairs
+in ascending powers of ``lp`` -- divided by one positive int, its content
+denominator.  The form is canonical, so equality is structural, ``hash``
+agrees with ``==``, and ``a - b`` is the zero object iff ``a == b``:
+
+- tuples carry no trailing ``(0, 0)``; zero is the empty numerator;
+- a content denominator is coprime to the gcd of the ints in its tuple;
+- numerator and denominator have no common factor of positive degree, and
+  the denominator is monic: its last pair is ``(dd, 0)``, ``dd`` its content
+  denominator; a polynomial has the denominator ``((1, 0),)`` over 1.
+
+Polynomials, almost every coefficient the algebra meets, are added,
+multiplied, negated, conjugated and compared on ints alone, and a constant
+is inverted the same way.  Only a non-trivial denominator goes through the
+polynomial gcd.  ``num`` and ``den`` give the canonical form as
+``GaussRational`` tuples, which is also what ``ParamScalar(num, den)`` takes.
 
 Conjugation (``star``) fixes ``lp`` and conjugates coefficients, i.e. ``lp``
 is treated as a real parameter.
@@ -14,11 +29,9 @@ is treated as a real parameter.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["GaussRational", "ParamScalar", "ZERO", "ONE", "I", "LP"]
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _as_fraction(x):
@@ -133,91 +146,135 @@ def _to_gauss(x):
     return None
 
 
-_G0 = GaussRational(0)
 _G1 = GaussRational(1)
 
 
 # --------------------------------------------------------------------------
-# dense univariate polynomials over GaussRational, as trimmed tuples
-# (ascending powers; the zero polynomial is the empty tuple)
+# polynomials over the Gaussian integers: tuples of (re, im) int pairs in
+# ascending powers of lp, trimmed (the zero polynomial is the empty tuple)
 
-def _ptrim(cs):
-    cs = tuple(cs)
+_P1 = ((1, 0),)  # the polynomial 1, shared by every polynomial ParamScalar
+
+
+def _trim(cs):
     n = len(cs)
-    while n and not cs[n - 1]:
+    while n and cs[n - 1] == (0, 0):
         n -= 1
-    return cs[:n]
+    return tuple(cs[:n])
 
 
-def _padd(a, b):
+def _add(a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
-    for k, c in enumerate(b):
-        out[k] = out[k] + c
-    return _ptrim(out)
+    for k, (br, bi) in enumerate(b):
+        ar, ai = out[k]
+        out[k] = (ar + br, ai + bi)
+    return _trim(out)
 
 
-def _pneg(a):
-    return tuple(-c for c in a)
+def _scale(a, k):
+    """``a`` times the int ``k``."""
+    if k == 1:
+        return a
+    return tuple((re * k, im * k) for re, im in a)
 
 
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [_G0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] = out[i + j] + ca * cb
-    return _ptrim(out)
+def _mul(a, b):
+    """Product of two nonzero polynomials.  The Gaussian integers have no
+    zero divisors, so the leading pair is nonzero and nothing is trimmed."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        (ar, ai), = a
+        if not ai:
+            return tuple((ar * br, ar * bi) for br, bi in b)
+        return tuple((ar * br - ai * bi, ar * bi + ai * br) for br, bi in b)
+    n = len(a) + len(b) - 1
+    re, im = [0] * n, [0] * n
+    for i, (ar, ai) in enumerate(a):
+        for j, (br, bi) in enumerate(b):
+            re[i + j] += ar * br - ai * bi
+            im[i + j] += ar * bi + ai * br
+    return tuple(zip(re, im))
 
 
-def _pscale(a, k):
-    if not k:
-        return ()
-    return _ptrim(tuple(c * k for c in a))
+def _content(a, m):
+    """Divide ``a`` and the positive int ``m`` by their common int factor."""
+    if m == 1:
+        return a, m
+    g = m
+    for re, im in a:
+        g = gcd(g, re, im)
+        if g == 1:
+            return a, m
+    return tuple((re // g, im // g) for re, im in a), m // g
 
 
 def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_G0] * max(0, len(a) - len(b) + 1)
+    """Pseudo-division by ``b``, whose leading pair is a positive int:
+    (q, r, m) with a positive int ``m``, ``m a = q b + r``, deg r < deg b."""
+    lead, nb = b[-1][0], len(b)
     r = list(a)
-    inv_lead = b[-1].inverse()
-    while len(r) >= len(b):
-        c = r[-1] * inv_lead
-        k = len(r) - len(b)
-        q[k] = c
-        for j, cb in enumerate(b):
-            r[k + j] = r[k + j] - c * cb
-        while r and not r[-1]:
-            r.pop()
-    return _ptrim(q), _ptrim(r)
+    q = [(0, 0)] * (len(a) - nb + 1)
+    m = 1
+    for k in range(len(a) - nb, -1, -1):
+        cr, ci = r[k + nb - 1]
+        if cr % lead or ci % lead:
+            m *= lead
+            q = [(x * lead, y * lead) for x, y in q]
+            r = [(x * lead, y * lead) for x, y in r]
+        else:
+            cr, ci = cr // lead, ci // lead
+        q[k] = (cr, ci)
+        for j, (br, bi) in enumerate(b):
+            xr, xi = r[k + j]
+            r[k + j] = (xr - cr * br + ci * bi, xi - cr * bi - ci * br)
+    return tuple(q), _trim(r[:nb - 1]), m
 
 
-def _pmonic(a):
-    lead = a[-1]
-    if lead == _G1:
-        return a
-    return _pscale(a, lead.inverse())
+def _primitive(a):
+    """The associate of a nonzero ``a`` with a positive int leading pair and
+    no common int factor."""
+    lr, li = a[-1]
+    if li or lr < 0:
+        a = _mul(a, ((lr, -li),))
+    g = gcd(*(v for c in a for v in c))
+    return tuple((re // g, im // g) for re, im in a) if g > 1 else a
 
 
 def _pgcd(a, b):
+    """The primitive associate of the gcd of ``a`` and ``b`` over Q(i)."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
-    return _pmonic(a)
+        r = _pdivmod(a, b)[1]
+        a, b = b, r and _primitive(r)
+    return a
 
 
-def _peval(a, v):
+def _peval(a, m, v):
     acc = 0j
-    for c in reversed(a):
-        acc = acc * v + complex(c)
+    for re, im in reversed(a):
+        acc = acc * v + complex(re / m, im / m)
     return acc
+
+
+def _from_gauss(cs):
+    """A tuple of GaussRational (ints and Fractions accepted) as a
+    polynomial and its content denominator."""
+    cs = [_to_gauss(c) for c in cs]
+    if None in cs:
+        raise TypeError("polynomial coefficients must be exact numbers")
+    while cs and not cs[-1]:
+        cs.pop()
+    m = lcm(1, *(x.denominator for c in cs for x in (c.re, c.im)))
+    return tuple((c.re.numerator * (m // c.re.denominator),
+                  c.im.numerator * (m // c.im.denominator)) for c in cs), m
+
+
+def _to_gauss_tuple(a, m):
+    return tuple(GaussRational(Fraction(re, m), Fraction(im, m))
+                 for re, im in a)
 
 
 def _pstr(a):
@@ -249,41 +306,82 @@ def _pstr(a):
 # --------------------------------------------------------------------------
 
 
+def _make(n, nd, d=_P1, dd=1):
+    s = object.__new__(ParamScalar)
+    s._n, s._nd, s._d, s._dd = n, nd, d, dd
+    return s
+
+
+def _ratio(n, d, coprime=False):
+    """The canonical ParamScalar n/d of two polynomials, ``d`` nonzero;
+    ``coprime`` skips the gcd when n and d are known to have none."""
+    if not n:
+        return ZERO
+    if not coprime and len(d) > 1 and len(n) > 1:
+        g = _pgcd(d, n)
+        if len(g) > 1:
+            # n/g = qn/mn and d/g = qd/md
+            n, _, mn = _pdivmod(n, g)
+            d, _, md = _pdivmod(d, g)
+            n, d = _scale(n, md), _scale(d, mn)
+    lr, li = d[-1]
+    if li or lr < 0:
+        # times the conjugate of the leading pair, which becomes an int > 0
+        c = ((lr, -li),)
+        n, d, lr = _mul(n, c), _mul(d, c), lr * lr + li * li
+    if len(d) == 1:
+        return _make(*_content(n, lr))
+    return _make(*_content(n, lr), *_content(d, lr))
+
+
+def _plus(x, y):
+    a, b = x._n, y._n
+    if not b:
+        return x
+    if not a:
+        return y
+    na, nb = x._nd, y._nd
+    d, dd = x._d, x._dd
+    if d is y._d or (d == y._d and dd == y._dd):
+        # one denominator: add the numerators
+        if na == nb:
+            n = _add(a, b)
+        else:
+            n, na = _add(_scale(a, nb), _scale(b, na)), na * nb
+        if d is _P1:
+            return _make(*_content(n, na)) if n else ZERO
+        return _ratio(_scale(n, dd), _scale(d, na))
+    # a/na over d/dd plus b/nb over y._d/y._dd
+    return _ratio(_add(_scale(_mul(a, y._d), dd * nb),
+                       _scale(_mul(b, d), y._dd * na)),
+                  _scale(_mul(d, y._d), na * nb))
+
+
+def _conj(a):
+    return tuple((re, -im) for re, im in a)
+
+
 class ParamScalar:
     """Element of Q(i)(lp): a reduced ratio of polynomials in ``lp``."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_nd", "_d", "_dd")
 
     def __init__(self, num, den=(_G1,)):
-        num = _ptrim(num)
-        den = _ptrim(den)
-        if not den:
+        n, nd = _from_gauss(num)
+        d, dd = _from_gauss(den)
+        if not d:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = (), (_G1,)
-            return
-        if len(den) > 1:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != _G1:
-            inv = lead.inverse()
-            num = _pscale(num, inv)
-            den = _pscale(den, inv)
-        self.num, self.den = num, den
+        s = _ratio(_scale(n, dd), _scale(d, nd))
+        self._n, self._nd, self._d, self._dd = s._n, s._nd, s._d, s._dd
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def of(cls, x):
         """Coerce an int, Fraction, GaussRational, or ParamScalar."""
-        if isinstance(x, ParamScalar):
-            return x
-        g = _to_gauss(x)
-        if g is None:
+        s = _coerce(x)
+        if s is None:
             raise TypeError(f"cannot coerce {type(x).__name__} to ParamScalar")
-        return cls((g,))
+        return s
 
     @classmethod
     def zero(cls):
@@ -293,59 +391,75 @@ class ParamScalar:
     def one(cls):
         return ONE
 
+    # -- canonical form as GaussRational tuples -----------------------------
+    @property
+    def num(self):
+        return _to_gauss_tuple(self._n, self._nd)
+
+    @property
+    def den(self):
+        return _to_gauss_tuple(self._d, self._dd)
+
     # -- predicates -------------------------------------------------------
     def is_zero(self):
-        return not self.num
+        return not self._n
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     # -- field operations -------------------------------------------------
     def __add__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is ParamScalar else _coerce(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return ParamScalar(_padd(self.num, o.num), self.den)
-        return ParamScalar(
-            _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-            _pmul(self.den, o.den))
+        return _plus(self, o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is ParamScalar else _coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _plus(self, -o)
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _plus(o, -self)
 
     def __neg__(self):
-        if not self.num:
+        if not self._n:
             return self
-        s = ParamScalar.__new__(ParamScalar)
-        s.num, s.den = _pneg(self.num), self.den
-        return s
+        return _make(tuple((-re, -im) for re, im in self._n), self._nd,
+                     self._d, self._dd)
 
     def __mul__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is ParamScalar else _coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
+        a, b = self._n, o._n
+        if not a or not b:
             return ZERO
-        return ParamScalar(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        n, nd = _mul(a, b), self._nd * o._nd
+        if self._d is _P1 and o._d is _P1:
+            return _make(*_content(n, nd))
+        return _ratio(_scale(n, self._dd * o._dd),
+                      _scale(_mul(self._d, o._d), nd))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.num:
+        n = self._n
+        if not n:
             raise ZeroDivisionError("inverse of zero scalar")
-        return ParamScalar(self.den, self.num)
+        if self._d is _P1 and len(n) == 1:
+            # nd / (re + i im) = nd (re - i im) / (re^2 + im^2)
+            (re, im), = n
+            nd = self._nd
+            return _make(*_content(((re * nd, -im * nd),), re * re + im * im))
+        return _ratio(_scale(self._d, self._nd), _scale(n, self._dd),
+                      coprime=True)
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -375,29 +489,33 @@ class ParamScalar:
 
     # -- star structure, evaluation ----------------------------------------
     def star(self):
-        """Conjugate coefficients; ``lp`` itself is fixed (real parameter)."""
-        return ParamScalar(tuple(c.conjugate() for c in self.num),
-                           tuple(c.conjugate() for c in self.den))
+        """Conjugate coefficients; ``lp`` itself is fixed (real parameter).
+        Conjugation keeps every canonical-form invariant."""
+        d = self._d
+        return _make(_conj(self._n), self._nd,
+                     d if d is _P1 else _conj(d), self._dd)
 
     def eval(self, v):
         """Evaluate at a numeric value of ``lp``; raises at a pole."""
-        d = _peval(self.den, complex(v))
+        x = complex(v)
+        d = _peval(self._d, self._dd, x)
         if d == 0:
             raise ZeroDivisionError(f"pole of scalar at lp={v}")
-        return _peval(self.num, complex(v)) / d
+        return _peval(self._n, self._nd, x) / d
 
     # -- comparison / rendering ---------------------------------------------
     def __eq__(self, other):
-        o = _coerce(other)
+        o = other if type(other) is ParamScalar else _coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return (self._n == o._n and self._nd == o._nd
+                and self._d == o._d and self._dd == o._dd)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._n, self._nd, self._d, self._dd))
 
     def __str__(self):
-        if self.den == (_G1,):
+        if len(self._d) == 1:
             return _pstr(self.num)
         return f"({_pstr(self.num)})/({_pstr(self.den)})"
 
@@ -408,13 +526,17 @@ class ParamScalar:
 def _coerce(x):
     if isinstance(x, ParamScalar):
         return x
-    g = _to_gauss(x)
-    if g is None:
-        return None
-    return ParamScalar((g,))
+    if isinstance(x, int):
+        return _make(((x, 0),), 1) if x else ZERO
+    if isinstance(x, Fraction):
+        return _make(((x.numerator, 0),), x.denominator) if x else ZERO
+    if isinstance(x, GaussRational):
+        n, m = _from_gauss((x,))
+        return _make(n, m) if n else ZERO
+    return None
 
 
-ZERO = ParamScalar(())
-ONE = ParamScalar((_G1,))
-I = ParamScalar((GaussRational(0, 1),))
-LP = ParamScalar((_G0, _G1))
+ZERO = _make((), 1)
+ONE = _make(_P1, 1)
+I = _make(((0, 1),), 1)
+LP = _make(((0, 0), (1, 0)), 1)

@@ -66,3 +66,13 @@ def test_param_scalar_field_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assume(a)
     assert a * a.inverse() == ONE
+
+
+@settings(max_examples=30, deadline=None)
+@given(scalars, scalars)
+def test_equal_scalars_hash_equal(a, b):
+    assume(b)
+    for lhs, rhs in (((a * b) / b, a), ((a + b) - b, a),
+                     (b.inverse().inverse(), b), (a.star().star(), a)):
+        assert lhs == rhs
+        assert hash(lhs) == hash(rhs)

@@ -199,6 +199,12 @@ def test_sigma_is_flip_for_constant_coefficients():
             assert sigma(const, i, j) == tensor(s_basis(j), s_basis(i))
 
 
+def test_sigma_rejects_float_coefficients():
+    const = [[[1.5] * 3 for _ in IDX] for _ in IDX]
+    with pytest.raises(TypeError):
+        sigma(const, 1, 2)
+
+
 def test_sigma_algebra_valued_example():
     # Gamma^1_11 = x3 and (i,j) = (1,3): the correction is i*lp s1 (x) s1
     zero = AlgElem.zero()

@@ -128,3 +128,51 @@ def test_rendering_uses_lp():
     s = ONE / (ONE - LP * LP)
     assert str(s) == "(-1)/(-1 + lp^2)"
     assert str(2 * I * LP) == "2*i*lp"
+
+
+def test_one_half_by_three_routes_is_one_value():
+    routes = (ParamScalar.of(Fraction(1, 2)), ONE / 2,
+              ParamScalar((GaussRational(Fraction(1, 2)),)))
+    for s in routes[1:]:
+        assert s == routes[0]
+        assert hash(s) == hash(routes[0])
+
+
+def test_big_integer_coefficients_cancel():
+    p = LP + Fraction(10 ** 40, 3)
+    assert p ** 6 / p ** 5 == p
+    assert (p ** 6 / p ** 5).den == (GaussRational(1),)
+
+
+def test_rational_rendering_golden():
+    assert str(ONE / (2 * I * LP)) == "(-1/2*i)/(lp)"
+    assert str(ONE / (ONE + LP)) == "(1)/(1 + lp)"
+    assert str((4 * I) / (LP - 1)) == "(4*i)/(-1 + lp)"
+
+
+def test_polynomial_arithmetic_makes_no_fraction(monkeypatch):
+    # operands with denominator 1, one with a content denominator 3
+    a = (2 + I) * LP ** 2 - LP + 5
+    b = (LP - 7 * I) / 3
+    c = ParamScalar.of(GaussRational(Fraction(2, 5), -1))
+    made = []
+    new_fraction = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new_fraction(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    results = [a * b, a + b, a - b, b * b + a, -a, a.star(), c.inverse(),
+               a * c.inverse(), (a * b) == (b * a), hash(a * b)]
+    assert made == []
+    monkeypatch.undo()
+    assert results[0] == results[3] - b * b - a + a * b
+    assert results[6] * c == ONE
+
+
+def test_constructor_rejects_inexact_coefficients():
+    with pytest.raises(TypeError):
+        ParamScalar((GaussRational(1), 1.5))
+    with pytest.raises(TypeError):
+        ParamScalar((GaussRational(1),), (0.5,))
