@@ -77,7 +77,6 @@ def build_parser():
     s.add_argument("--moments", action="append", default=None,
                    help="comma-separated eigenvalue indices, e.g. 1,2; "
                         "repeat the flag for several moments")
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--resolution", type=int, default=48)
     s.add_argument("--format", default="csv", choices=["csv", "json"])
     s.add_argument("--out", default=None)
@@ -220,7 +219,7 @@ def cmd_qg_sweep(args):
         l_values = [args.Lmin + i * h for i in range(args.steps)]
     try:
         cfg = QGConfig(G=args.G, eps=args.eps, L=args.Lmax,
-                       resolution=args.resolution, seed=args.seed)
+                       resolution=args.resolution)
         result = sweep(cfg, l_values, specs=specs)
     except ValueError as e:
         raise UsageError(str(e))

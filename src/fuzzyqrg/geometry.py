@@ -4,12 +4,11 @@ Metrics are constant real symmetric invertible 3x3 coefficient matrices
 g = g_ij s^i (x) s^j.  For every such metric there is a unique quantum
 Levi-Civita connection with constant coefficients,
 
-    nabla s^i = -(1/2) Gamma^i_jk s^j (x) s^k,
-    Gamma_ijk = 2 eps_ikm g_mj + Tr(g) eps_ijk,
+    nabla s^i = -(1/2) Gamma^i_jk s^j (x) s^k,    Gamma_ijk = eps_ikm gamma_mj,
 
-equivalently Gamma_ijk = eps_ikm gamma_mj with gamma = 2g - Tr(g) id.  The
-module computes the connection both from the closed form and by solving the
-9x9 linear system expressing torsion and cotorsion freeness, the defect
+where gamma = 2g - Tr(g) id is the closed form of ``_gamma_matrix``.  The
+module computes gamma both from that closed form and by solving the 9x9
+linear system expressing torsion and cotorsion freeness, the defect
 tensors for torsion / cotorsion / metric compatibility, the braiding sigma,
 and curvature data (rho coefficients, Ricci, scalar curvature).  The
 curvature 2-forms come by two independent routes, :func:`curvature_2form`
@@ -29,7 +28,7 @@ from .scalars import ParamScalar, ONE, I, LP
 from .algebra import AlgElem, commutator
 from .forms import (
     DiffForm, TensorForm, _coerce_coeff, d, wedge, tensor, s_basis, EPS)
-from .linalg import solve_square, SingularSystemError
+from .linalg import solve_overdetermined
 
 __all__ = [
     "Metric3", "Connection3", "CurvatureData",
@@ -40,6 +39,27 @@ __all__ = [
 ]
 
 _IDX = (0, 1, 2)
+# the nonzero eps_jmn for each j, as (m, n, eps_jmn) in ascending m
+_EPS_NZ = tuple(tuple((m, 3 - j - m, EPS[j][m][3 - j - m])
+                      for m in _IDX if m != j) for j in _IDX)
+
+
+def _t3(f):
+    """The 3x3x3 array with entry [i][j][k] = f(i, j, k)."""
+    return tuple(tuple(tuple(f(i, j, k) for k in _IDX) for j in _IDX)
+                 for i in _IDX)
+
+
+def _eps_dot(i, j, v, zero):
+    """eps_ijm v[m], read from its one nonzero term m = 3 - i - j.
+
+    ``zero`` is the zero of v's entry type, returned when i == j; the
+    result is ``zero`` plus or minus v[m], so a float result is never -0.0.
+    """
+    if i == j:
+        return zero
+    m = 3 - i - j
+    return zero + v[m] if EPS[i][j][m] > 0 else zero - v[m]
 
 
 def _normalize_entries(rows):
@@ -143,13 +163,9 @@ class Connection3:
         """Gamma^i_jk = g^{im} Gamma_mjk."""
         g = self._metric_or(g)
         ginv = g.inverse
-        return tuple(
-            tuple(
-                tuple(
-                    sum(ginv[i][m] * self.gamma[m][j][k] for m in _IDX)
-                    for k in _IDX)
-                for j in _IDX)
-            for i in _IDX)
+        ga = self.gamma
+        return _t3(lambda i, j, k: sum(ginv[i][m] * ga[m][j][k]
+                                       for m in _IDX))
 
     def __eq__(self, other):
         if not isinstance(other, Connection3):
@@ -169,21 +185,20 @@ class CurvatureData:
     scalar: object
 
 
+def _gamma_matrix(g):
+    """The closed form gamma = 2g - Tr(g) id of the quantum Levi-Civita
+    connection of the Metric3 ``g``."""
+    e = g.entries
+    tr = g.trace()
+    return tuple(tuple(2 * e[m][n] - tr if m == n else 2 * e[m][n]
+                       for n in _IDX) for m in _IDX)
+
+
 def qlc(g):
     """The unique quantum Levi-Civita connection of ``g`` in closed form."""
     if not isinstance(g, Metric3):
         g = Metric3(g)
-    tr = g.trace()
-    e = g.entries
-    gamma = tuple(
-        tuple(
-            tuple(
-                2 * sum(EPS[i][k][m] * e[m][j] for m in _IDX)
-                + tr * EPS[i][j][k]
-                for k in _IDX)
-            for j in _IDX)
-        for i in _IDX)
-    return Connection3(gamma, metric=g)
+    return connection_from_gamma_matrix(_gamma_matrix(g), g)
 
 
 def solve_qlc_linear(g):
@@ -203,78 +218,57 @@ def solve_qlc_linear(g):
     for i in _IDX:
         for (m, n) in ((0, 1), (0, 2), (1, 2)):
             row = [zero] * 9
-            for k in _IDX:
-                row[3 * k + n] = row[3 * k + n] + EPS[i][m][k]
-                row[3 * k + m] = row[3 * k + m] - EPS[i][n][k]
+            if i != m:
+                k = 3 - i - m
+                row[3 * k + n] = zero + EPS[i][m][k]
+            if i != n:
+                k = 3 - i - n
+                row[3 * k + m] = zero - EPS[i][n][k]
             rows.append(row)
-            rhs.append(-2 * sum(e[i][k] * EPS[k][m][n] for k in _IDX))
-    x = solve_square(rows, rhs)
+            rhs.append(-2 * _eps_dot(m, n, e[i], zero))
+    x = solve_overdetermined(rows, rhs)
     return tuple(tuple(x[3 * m + n] for n in _IDX) for m in _IDX)
 
 
 def connection_from_gamma_matrix(gamma_mat, g=None):
     """Connection with Gamma_ijk = eps_ikm gamma_mj."""
-    gamma = tuple(
-        tuple(
-            tuple(
-                sum(EPS[i][k][m] * gamma_mat[m][j] for m in _IDX)
-                for k in _IDX)
-            for j in _IDX)
-        for i in _IDX)
-    return Connection3(gamma, metric=g)
+    cols = tuple(zip(*gamma_mat))
+    zero = gamma_mat[0][0] - gamma_mat[0][0]
+    return Connection3(_t3(lambda i, j, k: _eps_dot(i, k, cols[j], zero)),
+                       metric=g)
 
 
 def torsion(conn, g=None):
     """Defect T_ijk = Gamma_ijk - Gamma_ikj - 2 g_im eps_mjk."""
-    g = conn._metric_or(g)
-    e = g.entries
+    e = conn._metric_or(g).entries
+    zero = e[0][0] - e[0][0]
     ga = conn.gamma
-    return tuple(
-        tuple(
-            tuple(
-                ga[i][j][k] - ga[i][k][j]
-                - 2 * sum(e[i][m] * EPS[m][j][k] for m in _IDX)
-                for k in _IDX)
-            for j in _IDX)
-        for i in _IDX)
+    return _t3(lambda i, j, k: ga[i][j][k] - ga[i][k][j]
+               - 2 * _eps_dot(j, k, e[i], zero))
 
 
 def cotorsion(conn, g=None):
     """Defect C_ijk = Gamma_ijk - Gamma_jik - 2 g_km eps_mij."""
-    g = conn._metric_or(g)
-    e = g.entries
+    e = conn._metric_or(g).entries
+    zero = e[0][0] - e[0][0]
     ga = conn.gamma
-    return tuple(
-        tuple(
-            tuple(
-                ga[i][j][k] - ga[j][i][k]
-                - 2 * sum(e[k][m] * EPS[m][i][j] for m in _IDX)
-                for k in _IDX)
-            for j in _IDX)
-        for i in _IDX)
+    return _t3(lambda i, j, k: ga[i][j][k] - ga[j][i][k]
+               - 2 * _eps_dot(i, j, e[k], zero))
 
 
-def metric_compat_defect(conn, g=None):
+def metric_compat_defect(conn):
     """Defect D_lik = Gamma_lik + Gamma_kil; zero iff nabla g = 0."""
     ga = conn.gamma
-    return tuple(
-        tuple(
-            tuple(ga[l][i][k] + ga[k][i][l] for k in _IDX)
-            for i in _IDX)
-        for l in _IDX)
+    return _t3(lambda l, i, k: ga[l][i][k] + ga[k][i][l])
 
 
-def nabla_g(conn, g=None):
+def nabla_g(conn):
     """Coefficients of nabla g in s^m (x) s^i (x) s^n.
 
     Returns the 3x3x3 array T[m][i][n] = -(1/2)(Gamma_nmi + Gamma_imn).
     """
     ga = conn.gamma
-    return tuple(
-        tuple(
-            tuple(-(ga[n][m][i] + ga[i][m][n]) / 2 for n in _IDX)
-            for i in _IDX)
-        for m in _IDX)
+    return _t3(lambda m, i, n: -(ga[n][m][i] + ga[i][m][n]) / 2)
 
 
 def curvature(conn, g=None):
@@ -285,20 +279,13 @@ def curvature(conn, g=None):
     """
     g = conn._metric_or(g)
     up = conn.raised(g)
-    rho = tuple(
-        tuple(
-            tuple(
-                up[i][j][k] / 4
-                - sum(EPS[j][m][n] * up[i][m][l] * up[l][n][k]
-                      for m in _IDX for n in _IDX if EPS[j][m][n]
-                      for l in _IDX) / 8
-                for k in _IDX)
-            for j in _IDX)
-        for i in _IDX)
+    rho = _t3(lambda i, j, k: up[i][j][k] / 4
+              - sum(e * up[i][m][l] * up[l][n][k]
+                    for m, n, e in _EPS_NZ[j] for l in _IDX) / 8)
+    # eps_jim = -eps_mij over the nonzero (i, j) of _EPS_NZ[m]
     ricci = tuple(
-        tuple(
-            sum(rho[i][j][n] * EPS[j][i][m] for i in _IDX for j in _IDX)
-            for n in _IDX)
+        tuple(sum(rho[i][j][n] * -e for i, j, e in _EPS_NZ[m])
+              for n in _IDX)
         for m in _IDX)
     ginv = g.inverse
     scalar = sum(ricci[m][n] * ginv[m][n] for m in _IDX for n in _IDX)
@@ -357,11 +344,11 @@ def sigma(gamma_up, i, j):
             for n in (1, 2, 3):
                 xn = AlgElem.generator(n)
                 c1 = c1 + xj * xn * commutator(gam, xn)
-                for m in (1, 2, 3):
-                    e = EPS[j - 1][m - 1][n - 1]
-                    if e:
-                        t = commutator(gam, AlgElem.generator(m)) * xn
-                        c2 = c2 + (t if e > 0 else -t)
+                if n != j:
+                    # eps_jmn is nonzero only at m = 6 - j - n
+                    m = 6 - j - n
+                    t = commutator(gam, AlgElem.generator(m)) * xn
+                    c2 = c2 + (t if EPS[j - 1][m - 1][n - 1] > 0 else -t)
             coeff = scale * (inner_scale * c1 + c2)
             if coeff:
                 out = out + tensor(coeff * s_basis(l), s_basis(k))
@@ -376,14 +363,10 @@ def _rho_contraction_tensor(rho, i):
             r = rho[i - 1][j - 1][k - 1]
             if not r:
                 continue
-            for m in (1, 2, 3):
-                for n in (1, 2, 3):
-                    e = EPS[j - 1][m - 1][n - 1]
-                    if not e:
-                        continue
-                    w = wedge(s_basis(m), s_basis(n))
-                    out = out + tensor(
-                        AlgElem.scalar(ParamScalar.of(r * e)) * w, s_basis(k))
+            for m, n, e in _EPS_NZ[j - 1]:
+                w = wedge(s_basis(m + 1), s_basis(n + 1))
+                out = out + tensor(
+                    AlgElem.scalar(ParamScalar.of(r * e)) * w, s_basis(k))
     return out
 
 

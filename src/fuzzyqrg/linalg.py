@@ -8,7 +8,7 @@ selection otherwise.
 
 from __future__ import annotations
 
-__all__ = ["SingularSystemError", "solve_square", "solve_overdetermined"]
+__all__ = ["SingularSystemError", "solve_overdetermined"]
 
 
 class SingularSystemError(ValueError):
@@ -76,10 +76,3 @@ def solve_overdetermined(a, b):
     for r, col in enumerate(pivots):
         x[col] = rows[r][n] / rows[r][col]
     return x
-
-
-def solve_square(a, b):
-    """Solve a square n x n system with a unique solution."""
-    if len(a) != len(a[0]):
-        raise ValueError("matrix is not square")
-    return solve_overdetermined(a, b)

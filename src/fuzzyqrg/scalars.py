@@ -114,7 +114,8 @@ class GaussRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the Fraction it equals
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -512,6 +513,9 @@ class ParamScalar:
                 and self._d == o._d and self._dd == o._dd)
 
     def __hash__(self):
+        if len(self._d) == 1 and len(self._n) <= 1:
+            # a constant hashes as the number it equals
+            return hash(self.num[0]) if self._n else 0
         return hash((self._n, self._nd, self._d, self._dd))
 
     def __str__(self):

@@ -95,6 +95,44 @@ def test_curvature_exact_identity_scalar(capsys):
     assert json.loads(out)["scalar"] == "-3/4"
 
 
+# Full `curvature` stdout for one metric, pinned byte for byte.  Its float
+# report holds 0.0 coefficients where a Levi-Civita contraction negates a
+# zero, so a contraction that yields -0.0 changes these bytes.
+GOLDEN_METRIC = '[["3/2","-3","0"],["-3","-4","-1"],["0","-1","-3/2"]]'
+GOLDEN_REPORTS = {
+    "float": {
+        "metric": [[1.5, -3.0, 0.0], [-3.0, -4.0, -1.0], [0.0, -1.0, -1.5]],
+        "gamma": [[[0.0, 0.0, 6.0], [0.0, -2.0, 4.0], [0.0, 1.0, 2.0]],
+                  [[0.0, 0.0, 7.0], [2.0, 0.0, -6.0], [-1.0, 0.0, 0.0]],
+                  [[-6.0, -7.0, 0.0], [-4.0, 6.0, 0.0], [-2.0, 0.0, 0.0]]],
+        "ricci": [
+            [0.3571428571428572, 0.1428571428571428, 0.2857142857142857],
+            [0.14285714285714313, 0.7142857142857142, 0.33333333333333337],
+            [0.28571428571428575, 0.3333333333333333, -0.9761904761904762]],
+        "scalar": 0.7738095238095237,
+    },
+    "exact": {
+        "metric": [["3/2", "-3", "0"], ["-3", "-4", "-1"],
+                   ["0", "-1", "-3/2"]],
+        "gamma": [[["0", "0", "6"], ["0", "-2", "4"], ["0", "1", "2"]],
+                  [["0", "0", "7"], ["2", "0", "-6"], ["-1", "0", "0"]],
+                  [["-6", "-7", "0"], ["-4", "6", "0"], ["-2", "0", "0"]]],
+        "ricci": [["5/14", "1/7", "2/7"], ["1/7", "5/7", "1/3"],
+                  ["2/7", "1/3", "-41/42"]],
+        "scalar": "65/84",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_curvature_stdout_golden(capsys, mode):
+    extra = ["--exact"] if mode == "exact" else []
+    rc, out, err = run_cli(capsys, "curvature", "--metric", GOLDEN_METRIC,
+                           *extra)
+    assert rc == 0
+    assert out == json.dumps(GOLDEN_REPORTS[mode], indent=2) + "\n"
+
+
 def test_curvature_text_format(capsys):
     rc, out, err = run_cli(capsys, "curvature", "--exact", "--format", "text",
                            "--metric", IDENTITY)
@@ -178,6 +216,14 @@ def test_qg_sweep_rejects_text_format():
     with pytest.raises(SystemExit) as exc:
         main(["qg-sweep", "--Lmin", "2", "--Lmax", "3", "--steps", "2",
               "--eps", "0.1", "--resolution", "24", "--format", "text"])
+    assert exc.value.code == 2
+
+
+def test_qg_sweep_rejects_seed():
+    # sweep is deterministic quadrature; it has no seed to set
+    with pytest.raises(SystemExit) as exc:
+        main(["qg-sweep", "--Lmin", "2", "--Lmax", "3", "--steps", "2",
+              "--eps", "0.1", "--resolution", "24", "--seed", "5"])
     assert exc.value.code == 2
 
 

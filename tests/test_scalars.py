@@ -60,6 +60,17 @@ def test_equality_is_structural():
         assert d.is_zero() and d == ZERO
 
 
+@pytest.mark.parametrize("number, scalar", [
+    (2, ParamScalar.of(2)),
+    (Fraction(1, 2), ParamScalar.of(Fraction(1, 2))),
+    (GaussRational(1, 2), ParamScalar.of(GaussRational(1, 2))),
+    (2, GaussRational(2)),
+])
+def test_equal_constants_hash_alike(number, scalar):
+    assert number == scalar
+    assert number in {scalar}
+
+
 def test_field_laws_random():
     rng = random.Random(7)
     for _ in range(40):
