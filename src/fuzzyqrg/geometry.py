@@ -62,6 +62,18 @@ def _eps_dot(i, j, v, zero):
     return zero + v[m] if EPS[i][j][m] > 0 else zero - v[m]
 
 
+def _signed_sum(terms):
+    """sum(e * t) over (e, t) pairs with e = +-1, adding or subtracting t.
+
+    IEEE gives the bits of the products, signed zeros included, without
+    multiplying by e.
+    """
+    acc = 0
+    for e, t in terms:
+        acc = acc + t if e > 0 else acc - t
+    return acc
+
+
 def _normalize_entries(rows):
     rows = [list(r) for r in rows]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
@@ -280,11 +292,11 @@ def curvature(conn, g=None):
     g = conn._metric_or(g)
     up = conn.raised(g)
     rho = _t3(lambda i, j, k: up[i][j][k] / 4
-              - sum(e * up[i][m][l] * up[l][n][k]
-                    for m, n, e in _EPS_NZ[j] for l in _IDX) / 8)
+              - _signed_sum((e, up[i][m][l] * up[l][n][k])
+                            for m, n, e in _EPS_NZ[j] for l in _IDX) / 8)
     # eps_jim = -eps_mij over the nonzero (i, j) of _EPS_NZ[m]
     ricci = tuple(
-        tuple(sum(rho[i][j][n] * -e for i, j, e in _EPS_NZ[m])
+        tuple(_signed_sum((-e, rho[i][j][n]) for i, j, e in _EPS_NZ[m])
               for n in _IDX)
         for m in _IDX)
     ginv = g.inverse

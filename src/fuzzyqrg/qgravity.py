@@ -152,40 +152,53 @@ def _panel_order(n):
     return max(4, n // 3)
 
 
-def _graded_edges(a, b, w_bot, w_top):
-    """Panel edges on [a, b], dyadically refined toward both endpoints.
+def _graded_walk(x, w, mid):
+    """Edges x, x + w, x + 3w, ... below mid, one column per doubling of
+    the step, broadcast over rows.  A row that has stopped repeats its
+    last edge; the repeats are zero-width panels."""
+    cols = [x]
+    while True:
+        step = x + w
+        go = step < mid
+        if not go.any():
+            return np.stack(cols, axis=-1)
+        x = np.where(go, step, x)
+        w = w * 2.0
+        cols.append(x)
 
-    The first panel at each end has the requested width and successive
-    widths double toward the midpoint, so endpoint features of scale
-    w_bot / w_top cost only logarithmically many panels.
+
+def _axis_rules(a, b, w_bot, w_top, order):
+    """Composite Gauss-Legendre rules on the intervals [a, b], broadcast
+    over arrays of ends and end widths.
+
+    Panels are graded toward both ends: the first panel at each end has
+    width min(w, span / 4) and successive widths double toward the
+    midpoint, so endpoint features cost only logarithmically many panels.
+    The panel layout is fixed by the grading; the per-panel order is the
+    refinement knob, so halving it coarsens every feature uniformly.
+    Returns the nodes and weights of every interval, concatenated in
+    order, and each interval's node count.
     """
+    a, b = np.broadcast_arrays(a, b)
+    span = b - a
     mid = 0.5 * (a + b)
-    lo, x, w = [a], a, w_bot
-    while x + w < mid:
-        x += w
-        lo.append(x)
-        w *= 2.0
-    hi, x, w = [b], b, w_top
-    while x - w > mid:
-        x -= w
-        hi.append(x)
-        w *= 2.0
-    return np.array(sorted(set(lo) | set(hi)))
+    lo = _graded_walk(a, np.minimum(w_bot, span / 4), mid)
+    # the upper walk is the lower one in negated coordinates (exact)
+    hi = -_graded_walk(-b, np.minimum(w_top, span / 4), -mid)
+    edges = np.concatenate([lo, hi[..., ::-1]], axis=-1)
+    left, right = edges[..., :-1], edges[..., 1:]
+    keep = right > left
+    left, right = left[keep], right[keep]
+    x, w = _ref_panel(order)
+    half = 0.5 * (right - left)
+    nodes = left[:, None] + half[:, None] * (x + 1.0)
+    weights = half[:, None] * w
+    return nodes.ravel(), weights.ravel(), keep.sum(axis=-1) * order
 
 
 def _axis_nodes(a, b, w_bot, w_top, order):
-    """Composite Gauss-Legendre rule on [a, b] with graded panels.
-
-    The panel layout is fixed by the grading; the per-panel order is the
-    refinement knob, so halving it coarsens every feature uniformly.
-    """
-    span = b - a
-    edges = _graded_edges(a, b, min(w_bot, span / 4), min(w_top, span / 4))
-    x, w = _ref_panel(order)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = edges[:-1, None] + half[:, None] * (x + 1.0)
-    weights = half[:, None] * np.broadcast_to(w, (len(half), order))
-    return nodes.ravel(), weights.ravel()
+    """Nodes and weights of ``_axis_rules`` on the one interval [a, b]."""
+    return _axis_rules(a, b, w_bot, w_top, order)[:2]
 
 
 def _sym_terms(exps):
@@ -213,7 +226,8 @@ def _ordered_sector_sums(G, eps, L, n, exps_list):
     exponential favors near-equal eigenvalues near the upper cutoff with
     a peak of log-width about G/L^2, while the 1/lam^2 measure pins mass
     within about one log unit of the lower cutoff.  Each outer node lam3
-    is one row of (lam2, lam1) nodes, summed under its own peak shift;
+    is one row of (lam2, lam1) nodes, built by one ``_axis_rules`` call
+    over all of the row's lam2 ends and summed under its own peak shift;
     the rows are then combined relative to the largest shift in their
     fixed order.  Returns (S0, [S_e...]) up to one common exp(shift)
     factor, which cancels in all moment ratios.
@@ -226,10 +240,7 @@ def _ordered_sector_sums(G, eps, L, n, exps_list):
     shifts, rows = [], []
     for m3, wt3 in zip(mu3, w3):
         mu2, w2 = _axis_nodes(a, m3, 1.0, w_top, order)
-        inner = [_axis_nodes(a, m2, 1.0, w_top, order) for m2 in mu2]
-        counts = [len(nodes) for nodes, _ in inner]
-        mu1 = np.concatenate([nodes for nodes, _ in inner])
-        w1 = np.concatenate([wts for _, wts in inner])
+        mu1, w1, counts = _axis_rules(a, mu2, 1.0, w_top, order)
         mu2, w2 = np.repeat(mu2, counts), np.repeat(w2, counts)
         l1, l2, l3 = np.exp(mu1), np.exp(mu2), math.exp(m3)
         # log of weight * Jacobian (lam1 lam2 lam3 from d lam = lam d mu)
@@ -366,24 +377,35 @@ def partial_zu_integrand(u, v, w, G):
 
 
 def _zu_value(u, G, n, margin):
+    """Z_u at panel order ``_panel_order(n)``: v is graded toward v = u/2,
+    and w toward w = u + v (the excluded poles) and split at its kink
+    w = 3|v|.  The w rules of one v panel (``order`` consecutive v nodes)
+    come from one ``_axis_rules`` call; the integrand is evaluated per v
+    and per w segment."""
     order = _panel_order(n)
     dv = margin * 1.5 * u          # relative to the v-range size 3u/2
-    # graded toward v = u/2 and w = u + v, where the excluded poles sit
     v_nodes, v_wts = _axis_nodes(-u + dv, u / 2 - dv, u / 2, dv, order)
     totals = []
-    for v, wv in zip(v_nodes, v_wts):
-        w_hi = (u + v) * (1.0 - margin)
-        if w_hi <= 0:
-            continue
-        kink = 3 * abs(v)
-        cuts = [0.0, kink, w_hi] if 0.0 < kink < w_hi else [0.0, w_hi]
-        inner = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            w_top = margin * (u + v) if hi == w_hi else (hi - lo) / 4
-            w_nodes, w_wts = _axis_nodes(lo, hi, (hi - lo) / 4, w_top, order)
-            inner += float(np.dot(w_wts,
-                                  partial_zu_integrand(u, v, w_nodes, G)))
-        totals.append(wv * inner)
+    for j in range(0, len(v_nodes), order):
+        vs, wvs = v_nodes[j:j + order], v_wts[j:j + order]
+        w_hi = (u + vs) * (1.0 - margin)
+        kink = 3 * np.abs(vs)
+        split = (0.0 < kink) & (kink < w_hi)
+        # segments [0, kink] (where split) and [kink or 0, w_hi], per v
+        segs = np.column_stack([split, np.ones_like(split)])
+        lo = np.column_stack([np.zeros_like(vs),
+                              np.where(split, kink, 0.0)])[segs]
+        hi = np.column_stack([kink, w_hi])[segs]
+        top = np.column_stack([kink / 4, margin * (u + vs)])[segs]
+        nodes, wts, counts = _axis_rules(lo, hi, (hi - lo) / 4, top, order)
+        ends = np.cumsum(counts)[:-1]
+        rules = zip(np.split(wts, ends), np.split(nodes, ends))
+        for v, wv, k in zip(vs, wvs, 1 + split):
+            inner = 0.0
+            for w_wts, w_nodes in itertools.islice(rules, k):
+                inner += float(np.dot(w_wts,
+                                      partial_zu_integrand(u, v, w_nodes, G)))
+            totals.append(wv * inner)
     return 4.0 * math.fsum(totals)
 
 
@@ -392,15 +414,16 @@ def partial_Zu(u, G, resolution=64, margin=1e-4):
 
     The exact integral diverges at the boundaries v = u/2 (lam1 = 0) and
     w = u + v (lam2 = 0); both are excluded by the given relative margin,
-    which is reported alongside the value.  The error field is the change
-    from resolution n to n // 2.
+    which is reported alongside the value and must lie in (0, 1/2): from
+    1/2 on, the v range is empty.  The error field is the change from
+    resolution n to n // 2.
     """
-    if not u > 0:
-        raise ValueError("u must be positive")
+    if not 0 < u < math.inf:
+        raise ValueError("u must be positive and finite")
     if not G > 0:
         raise ValueError("coupling G must be positive")
-    if not margin > 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < 0.5:
+        raise ValueError("margin must be positive and below 1/2")
     _check_resolution(resolution)
     v = _zu_value(u, G, resolution, margin)
     vh = _zu_value(u, G, resolution // 2, margin)

@@ -275,6 +275,14 @@ def test_qg_partial_rejects_bad_resolution(capsys, res):
     assert "resolution" in err
 
 
+def test_qg_partial_rejects_margin_from_one_half(capsys):
+    rc, out, err = run_cli(capsys, "qg-partial", "--u", "2",
+                           "--resolution", "16", "--margin", "0.6")
+    assert rc == 2
+    assert out == ""
+    assert "margin" in err
+
+
 def test_monopole_connection_report(capsys):
     rc, out, err = run_cli(capsys, "monopole", "connection")
     assert rc == 0

@@ -16,9 +16,11 @@ from fuzzyqrg.qgravity import (
     QGConfig, action_matrix, eigen_weight, quad_form, uvw_map, uvw_inverse,
     quad_form_uvw, moments, moment_set, mc_matrix_oracle,
     partial_zu_integrand, partial_Zu, sweep, SWEEP_SCHEMA, _axis_nodes,
-    _ordered_sector_sums, _panel_order)
+    _axis_rules, _ordered_sector_sums, _panel_order, _ref_panel, _zu_value)
 
 FAST = dict(G=1.0, eps=0.1, L=3.0, resolution=32, samples=20_000, seed=5)
+# the frozen deep-cutoff point of the acceptance suite and the README
+REGIME = dict(G=1.5625, eps=6.236294250248896e-30, L=10.0)
 
 
 def test_config_validation():
@@ -331,3 +333,137 @@ def test_sweep_one_pass_per_cutoff(monkeypatch):
     assert len(calls) == len(L_values) + 1
     row = next(r for r in res.rows if r["L"] == max(L_values))
     assert res.eps_report["mean_lambda"] == row["estimate"]
+
+
+def test_partial_zu_rejects_infinite_u():
+    with pytest.raises(ValueError, match="u must be positive and finite"):
+        partial_Zu(math.inf, 1.0, resolution=16)
+
+
+@pytest.mark.parametrize("margin", [0.5, 0.6, 1.0])
+def test_partial_zu_rejects_margin_from_one_half(margin):
+    # the v range [-u + 1.5 margin u, u/2 - 1.5 margin u] is empty there
+    with pytest.raises(ValueError, match="margin"):
+        partial_Zu(2.0, 1.0, resolution=16, margin=margin)
+
+
+# -- the graded rule against the scalar one-interval-at-a-time reference ----
+
+
+def _ref_graded_edges(a, b, w_bot, w_top):
+    mid = 0.5 * (a + b)
+    lo, x, w = [a], a, w_bot
+    while x + w < mid:
+        x += w
+        lo.append(x)
+        w *= 2.0
+    hi, x, w = [b], b, w_top
+    while x - w > mid:
+        x -= w
+        hi.append(x)
+        w *= 2.0
+    return np.array(sorted(set(lo) | set(hi)))
+
+
+def _ref_axis_nodes(a, b, w_bot, w_top, order):
+    span = b - a
+    edges = _ref_graded_edges(a, b, min(w_bot, span / 4),
+                              min(w_top, span / 4))
+    x, w = _ref_panel(order)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = edges[:-1, None] + half[:, None] * (x + 1.0)
+    weights = half[:, None] * np.broadcast_to(w, (len(half), order))
+    return nodes.ravel(), weights.ravel()
+
+
+def _ref_rules(intervals, order):
+    """Concatenated nodes, weights and counts of (a, b, w_bot, w_top)."""
+    rules = [_ref_axis_nodes(*iv, order) for iv in intervals]
+    return (np.concatenate([x for x, _ in rules]),
+            np.concatenate([w for _, w in rules]),
+            np.array([len(x) for x, _ in rules]))
+
+
+def _assert_rules_equal(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("G, eps, L, n", [
+    (REGIME["G"], REGIME["eps"], REGIME["L"], 24),
+    (1.0, 0.1, 3.0, 16),
+    (1.0, 1e-3, 30000.0, 17),   # the 1e-7 floor on w_top binds
+])
+def test_axis_rules_match_reference_on_every_sector_row(G, eps, L, n):
+    a, b = math.log(eps), math.log(L)
+    w_top, order = max(G / (2.0 * L * L), 1e-7), _panel_order(n)
+    mu3, w3 = _ref_axis_nodes(a, b, 1.0, w_top, order)
+    _assert_rules_equal(_axis_nodes(a, b, 1.0, w_top, order), (mu3, w3))
+    for m3 in mu3:
+        mu2, w2 = _ref_axis_nodes(a, m3, 1.0, w_top, order)
+        _assert_rules_equal(_axis_nodes(a, m3, 1.0, w_top, order),
+                            (mu2, w2))
+        _assert_rules_equal(
+            _axis_rules(a, mu2, 1.0, w_top, order),
+            _ref_rules([(a, m2, 1.0, w_top) for m2 in mu2], order))
+
+
+@pytest.mark.parametrize("G", [4.0, 0.25])
+@pytest.mark.parametrize("margin", [1e-4, 1e-2])
+def test_zu_segments_match_reference(monkeypatch, G, margin):
+    u, n = 2.0, 32
+    order = _panel_order(n)
+    calls = []
+
+    def recording(*args):
+        out = _axis_rules(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(qgravity, "_axis_rules", recording)
+    value = _zu_value(u, G, n, margin)
+    dv = margin * 1.5 * u
+    v_nodes, v_wts = _ref_axis_nodes(-u + dv, u / 2 - dv, u / 2, dv, order)
+    assert len(calls) == 1 + len(v_nodes) // order   # the v axis, the panels
+    _assert_rules_equal(calls[0][:2], (v_nodes, v_wts))
+    totals = []
+    for p, call in enumerate(calls[1:]):
+        segments = []
+        for v, wv in zip(v_nodes[p * order:(p + 1) * order],
+                         v_wts[p * order:(p + 1) * order]):
+            w_hi = (u + v) * (1.0 - margin)
+            kink = 3 * abs(v)
+            cuts = [0.0, kink, w_hi] if 0.0 < kink < w_hi else [0.0, w_hi]
+            inner = 0.0
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                w_top = margin * (u + v) if hi == w_hi else (hi - lo) / 4
+                segments.append((lo, hi, (hi - lo) / 4, w_top))
+                w_nodes, w_wts = _ref_axis_nodes(*segments[-1], order)
+                inner += float(np.dot(
+                    w_wts, partial_zu_integrand(u, v, w_nodes, G)))
+            totals.append(wv * inner)
+        _assert_rules_equal(call, _ref_rules(segments, order))
+    assert value == 4.0 * math.fsum(totals)
+
+
+# -- quadrature values pinned bit for bit ------------------------------------
+
+
+def test_moment_set_golden_bits():
+    est = moment_set(QGConfig(resolution=16, **REGIME),
+                     [(1,), (1, 2), (1, 1)])
+    got = {k: (m.value.hex(), m.error.hex()) for k, m in est.items()}
+    assert got == {
+        (1,): ("0x1.6aaf4e0fbe1c0p+0", "0x1.db46ad9bc8000p-15"),
+        (1, 2): ("0x1.562c4c506b994p+3", "0x1.183a1874fc000p-11"),
+        (1, 1): ("0x1.66cf4f2d4e400p+3", "0x1.4ff0e816f0000p-11"),
+    }
+
+
+@pytest.mark.parametrize("G, value, error", [
+    (4.0, "0x1.17524419553c1p+13", "0x1.3f4b260b404dcp+12"),
+    (1.0, "0x1.2ce1bb2132eadp+1", "0x1.0dd100288a500p-7"),
+])
+def test_partial_zu_golden_bits(G, value, error):
+    z = partial_Zu(2.0, G, resolution=32)
+    assert (z.value.hex(), z.error.hex()) == (value, error)
