@@ -5,7 +5,7 @@ Levi-Civita connection and curvature, monopole bundle.  Numerical layer:
 Euclidean quantum-gravity functional integrals over 3x3 metrics.
 """
 
-from .scalars import GaussRational, ParamScalar, LP, I, ONE, ZERO
+from .scalars import ParamScalar, LP, I, ONE, ZERO
 from .algebra import (
     AlgElem, DegreeLimitError, commutator, X1, X2, X3, ONE_A)
 from .forms import (
@@ -29,7 +29,7 @@ from .verify import SUITES, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussRational", "ParamScalar", "LP", "I", "ONE", "ZERO",
+    "ParamScalar", "LP", "I", "ONE", "ZERO",
     "AlgElem", "DegreeLimitError", "commutator", "X1", "X2", "X3", "ONE_A",
     "DiffForm", "TensorForm", "d", "wedge", "tensor", "s_basis",
     "s_from_dx", "theta", "eps3",

@@ -62,6 +62,8 @@ class QGConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.G, self.eps, self.L))):
+            raise ValueError("G, eps and L must be finite")
         if not self.G > 0:
             raise ValueError("coupling G must be positive")
         if not 0 < self.eps < self.L:
@@ -196,11 +198,6 @@ def _axis_rules(a, b, w_bot, w_top, order):
     return nodes.ravel(), weights.ravel(), keep.sum(axis=-1) * order
 
 
-def _axis_nodes(a, b, w_bot, w_top, order):
-    """Nodes and weights of ``_axis_rules`` on the one interval [a, b]."""
-    return _axis_rules(a, b, w_bot, w_top, order)[:2]
-
-
 def _sym_terms(exps):
     """Distinct permutations of an exponent triple, in a fixed order."""
     return sorted(set(itertools.permutations(exps)))
@@ -236,10 +233,10 @@ def _ordered_sector_sums(G, eps, L, n, exps_list):
     w_top = max(G / (2.0 * L * L), 1e-7)
     order = _panel_order(n)
     terms = [_sym_terms(exps) for exps in exps_list]
-    mu3, w3 = _axis_nodes(a, b, 1.0, w_top, order)
+    mu3, w3, _ = _axis_rules(a, b, 1.0, w_top, order)
     shifts, rows = [], []
     for m3, wt3 in zip(mu3, w3):
-        mu2, w2 = _axis_nodes(a, m3, 1.0, w_top, order)
+        mu2, w2, _ = _axis_rules(a, m3, 1.0, w_top, order)
         mu1, w1, counts = _axis_rules(a, mu2, 1.0, w_top, order)
         mu2, w2 = np.repeat(mu2, counts), np.repeat(w2, counts)
         l1, l2, l3 = np.exp(mu1), np.exp(mu2), math.exp(m3)
@@ -384,7 +381,7 @@ def _zu_value(u, G, n, margin):
     and per w segment."""
     order = _panel_order(n)
     dv = margin * 1.5 * u          # relative to the v-range size 3u/2
-    v_nodes, v_wts = _axis_nodes(-u + dv, u / 2 - dv, u / 2, dv, order)
+    v_nodes, v_wts, _ = _axis_rules(-u + dv, u / 2 - dv, u / 2, dv, order)
     totals = []
     for j in range(0, len(v_nodes), order):
         vs, wvs = v_nodes[j:j + order], v_wts[j:j + order]
@@ -416,17 +413,24 @@ def partial_Zu(u, G, resolution=64, margin=1e-4):
     w = u + v (lam2 = 0); both are excluded by the given relative margin,
     which is reported alongside the value and must lie in (0, 1/2): from
     1/2 on, the v range is empty.  The error field is the change from
-    resolution n to n // 2.
+    resolution n to n // 2.  The integrand is positive on the region, so a
+    value that is not finite and positive at either resolution (an
+    underflow to 0 or an overflow to inf or nan) raises ``ValueError``.
     """
     if not 0 < u < math.inf:
         raise ValueError("u must be positive and finite")
-    if not G > 0:
-        raise ValueError("coupling G must be positive")
+    if not 0 < G < math.inf:
+        raise ValueError("coupling G must be positive and finite")
     if not 0 < margin < 0.5:
         raise ValueError("margin must be positive and below 1/2")
     _check_resolution(resolution)
-    v = _zu_value(u, G, resolution, margin)
-    vh = _zu_value(u, G, resolution // 2, margin)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _zu_value(u, G, resolution, margin)
+        vh = _zu_value(u, G, resolution // 2, margin)
+    if not (0 < v < math.inf and 0 < vh < math.inf):
+        raise ValueError(
+            "Z_u at u=%r, G=%r left the double range (%r at resolution %d, "
+            "%r at %d)" % (u, G, v, resolution, vh, resolution // 2))
     return PartialZu(value=v, error=abs(v - vh), margin=margin)
 
 

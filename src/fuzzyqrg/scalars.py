@@ -1,8 +1,9 @@
-"""Exact scalars: Gaussian rationals and rational functions of ``lp``.
+"""Exact scalars: rational functions of ``lp`` over the Gaussian rationals.
 
 The coefficient field used by the symbolic layers is Q(i)(lp): rational
 functions in a single formal parameter ``lp`` with Gaussian-rational
-coefficients.  ``GaussRational`` is the public type of one coefficient.
+coefficients.  ``ParamScalar`` is its one exact type; a coefficient is a
+constant ``ParamScalar``.
 
 A ``ParamScalar`` stores its numerator and its denominator each as a
 polynomial over the Gaussian integers -- a tuple of ``(re, im)`` int pairs
@@ -19,8 +20,8 @@ agrees with ``==``, and ``a - b`` is the zero object iff ``a == b``:
 Polynomials, almost every coefficient the algebra meets, are added,
 multiplied, negated, conjugated and compared on ints alone, and a constant
 is inverted the same way.  Only a non-trivial denominator goes through the
-polynomial gcd.  ``num`` and ``den`` give the canonical form as
-``GaussRational`` tuples, which is also what ``ParamScalar(num, den)`` takes.
+polynomial gcd.  ``num`` and ``den`` give the canonical form as tuples of
+constants, which is also what ``ParamScalar(num, den)`` takes.
 
 Conjugation (``star``) fixes ``lp`` and conjugates coefficients, i.e. ``lp``
 is treated as a real parameter.
@@ -31,123 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["GaussRational", "ParamScalar", "ZERO", "ONE", "I", "LP"]
-
-
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-class GaussRational:
-    """Exact complex rational ``re + im*i``."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
-
-    def conjugate(self):
-        return GaussRational(self.re, -self.im)
-
-    def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise ZeroDivisionError("inverse of zero")
-        return GaussRational(self.re / n, -self.im / n)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __add__(self, other):
-        o = _to_gauss(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _to_gauss(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = _to_gauss(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(o.re - self.re, o.im - self.im)
-
-    def __neg__(self):
-        return GaussRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = _to_gauss(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re * o.re - self.im * o.im,
-                             self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _to_gauss(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = _to_gauss(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __eq__(self, other):
-        o = _to_gauss(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        # a real value hashes as the Fraction it equals
-        return hash((self.re, self.im)) if self.im else hash(self.re)
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{_imag_str(abs(self.im)).lstrip('+')}"
-
-    __repr__ = __str__
-
-
-def _imag_str(im):
-    if im == 1:
-        return "i"
-    if im == -1:
-        return "-i"
-    return f"{im}*i"
-
-
-def _to_gauss(x):
-    if isinstance(x, GaussRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRational(x)
-    return None
-
-
-_G1 = GaussRational(1)
+__all__ = ["ParamScalar", "ZERO", "ONE", "I", "LP"]
 
 
 # --------------------------------------------------------------------------
@@ -260,44 +145,53 @@ def _peval(a, m, v):
     return acc
 
 
-def _from_gauss(cs):
-    """A tuple of GaussRational (ints and Fractions accepted) as a
-    polynomial and its content denominator."""
-    cs = [_to_gauss(c) for c in cs]
-    if None in cs:
-        raise TypeError("polynomial coefficients must be exact numbers")
-    while cs and not cs[-1]:
-        cs.pop()
-    m = lcm(1, *(x.denominator for c in cs for x in (c.re, c.im)))
-    return tuple((c.re.numerator * (m // c.re.denominator),
-                  c.im.numerator * (m // c.im.denominator)) for c in cs), m
+def _from_consts(cs):
+    """A sequence of exact constants as a polynomial and its content
+    denominator."""
+    cs = [_coerce(c) for c in cs]
+    if not all(c is not None and len(c._d) == 1 and len(c._n) <= 1
+               for c in cs):
+        raise TypeError("polynomial coefficients must be exact constants")
+    m = lcm(1, *(c._nd for c in cs))
+    return _trim([_scale(c._n, m // c._nd)[0] if c._n else (0, 0)
+                  for c in cs]), m
 
 
-def _to_gauss_tuple(a, m):
-    return tuple(GaussRational(Fraction(re, m), Fraction(im, m))
-                 for re, im in a)
+def _consts(a, m):
+    """The polynomial ``a`` over ``m`` as a tuple of constants."""
+    return tuple(_make(*_content((c,), m)) if c != (0, 0) else ZERO
+                 for c in a)
 
 
-def _pstr(a):
+def _cstr(re, im, m):
+    """The coefficient (re + im i) / m as text."""
+    if not im:
+        return str(Fraction(re, m))
+    i = "i" if abs(im) == m else f"{Fraction(abs(im), m)}*i"
+    if not re:
+        return i if im > 0 else f"-{i}"
+    return f"{Fraction(re, m)}{'+' if im > 0 else '-'}{i}"
+
+
+def _pstr(a, m):
     if not a:
         return "0"
     parts = []
-    for k, c in enumerate(a):
-        if not c:
+    for k, (re, im) in enumerate(a):
+        if not (re or im):
             continue
-        if k == 0:
-            parts.append(str(c))
-            continue
-        mono = "lp" if k == 1 else f"lp^{k}"
-        if c == _G1:
-            parts.append(mono)
-        elif c == GaussRational(-1):
-            parts.append(f"-{mono}")
-        else:
-            cs = str(c)
-            if ("+" in cs[1:]) or ("-" in cs[1:]):
-                cs = f"({cs})"
-            parts.append(f"{cs}*{mono}")
+        cs = _cstr(re, im, m)
+        if k:
+            mono = "lp" if k == 1 else f"lp^{k}"
+            if cs == "1":
+                cs = mono
+            elif cs == "-1":
+                cs = f"-{mono}"
+            elif ("+" in cs[1:]) or ("-" in cs[1:]):
+                cs = f"({cs})*{mono}"
+            else:
+                cs = f"{cs}*{mono}"
+        parts.append(cs)
     out = parts[0]
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -367,9 +261,9 @@ class ParamScalar:
 
     __slots__ = ("_n", "_nd", "_d", "_dd")
 
-    def __init__(self, num, den=(_G1,)):
-        n, nd = _from_gauss(num)
-        d, dd = _from_gauss(den)
+    def __init__(self, num, den=(1,)):
+        n, nd = _from_consts(num)
+        d, dd = _from_consts(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
         s = _ratio(_scale(n, dd), _scale(d, nd))
@@ -378,7 +272,7 @@ class ParamScalar:
     # -- constructors ---------------------------------------------------
     @classmethod
     def of(cls, x):
-        """Coerce an int, Fraction, GaussRational, or ParamScalar."""
+        """Coerce an int, Fraction, or ParamScalar."""
         s = _coerce(x)
         if s is None:
             raise TypeError(f"cannot coerce {type(x).__name__} to ParamScalar")
@@ -392,14 +286,14 @@ class ParamScalar:
     def one(cls):
         return ONE
 
-    # -- canonical form as GaussRational tuples -----------------------------
+    # -- canonical form as tuples of constants -------------------------------
     @property
     def num(self):
-        return _to_gauss_tuple(self._n, self._nd)
+        return _consts(self._n, self._nd)
 
     @property
     def den(self):
-        return _to_gauss_tuple(self._d, self._dd)
+        return _consts(self._d, self._dd)
 
     # -- predicates -------------------------------------------------------
     def is_zero(self):
@@ -513,15 +407,19 @@ class ParamScalar:
                 and self._d == o._d and self._dd == o._dd)
 
     def __hash__(self):
-        if len(self._d) == 1 and len(self._n) <= 1:
-            # a constant hashes as the number it equals
-            return hash(self.num[0]) if self._n else 0
-        return hash((self._n, self._nd, self._d, self._dd))
+        n = self._n
+        if len(self._d) == 1 and len(n) <= 1:
+            re, im = n[0] if n else (0, 0)
+            if not im:
+                # a real constant hashes as the int or Fraction it equals
+                return hash(Fraction(re, self._nd))
+        return hash((n, self._nd, self._d, self._dd))
 
     def __str__(self):
         if len(self._d) == 1:
-            return _pstr(self.num)
-        return f"({_pstr(self.num)})/({_pstr(self.den)})"
+            return _pstr(self._n, self._nd)
+        return (f"({_pstr(self._n, self._nd)})/"
+                f"({_pstr(self._d, self._dd)})")
 
     def __repr__(self):
         return str(self)
@@ -534,9 +432,6 @@ def _coerce(x):
         return _make(((x, 0),), 1) if x else ZERO
     if isinstance(x, Fraction):
         return _make(((x.numerator, 0),), x.denominator) if x else ZERO
-    if isinstance(x, GaussRational):
-        n, m = _from_gauss((x,))
-        return _make(n, m) if n else ZERO
     return None
 
 

@@ -242,6 +242,14 @@ def test_qg_sweep_bad_range(capsys):
     assert rc == 2
 
 
+def test_qg_sweep_rejects_infinite_cutoff(capsys):
+    rc, out, err = run_cli(capsys, "qg-sweep", "--Lmin", "2", "--Lmax", "inf",
+                           "--steps", "1")
+    assert rc == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_qg_partial_text(capsys):
     rc, out, err = run_cli(capsys, "qg-partial", "--u", "2", "--G", "1",
                            "--resolution", "32")
@@ -281,6 +289,14 @@ def test_qg_partial_rejects_margin_from_one_half(capsys):
     assert rc == 2
     assert out == ""
     assert "margin" in err
+
+
+@pytest.mark.parametrize("u", ["1e3", "1e300"])
+def test_qg_partial_rejects_result_outside_double_range(capsys, u):
+    rc, out, err = run_cli(capsys, "qg-partial", "--u", u)
+    assert rc == 2
+    assert out == ""
+    assert "left the double range" in err
 
 
 def test_monopole_connection_report(capsys):

@@ -9,13 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fuzzyqrg.algebra import AlgElem, DEGREE_LIMIT
 from fuzzyqrg.forms import d, theta
-from fuzzyqrg.scalars import GaussRational, ParamScalar, LP, ONE
+from fuzzyqrg.scalars import ParamScalar, I, LP, ONE
 
 MAX_DEGREE = 3
 assert 2 * MAX_DEGREE < DEGREE_LIMIT
 
 _rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-_gauss = st.builds(GaussRational, _rational, _rational)
+_gauss = st.builds(lambda a, b: ParamScalar.of(a) + ParamScalar.of(b) * I,
+                   _rational, _rational)
 _coeff = st.builds(lambda g, factor: ParamScalar.of(g) * factor,
                    _gauss, st.sampled_from([ONE, LP]))
 _key = st.tuples(st.integers(0, MAX_DEGREE), st.integers(0, MAX_DEGREE),

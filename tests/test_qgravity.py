@@ -15,8 +15,8 @@ from fuzzyqrg.geometry import curvature, qlc
 from fuzzyqrg.qgravity import (
     QGConfig, action_matrix, eigen_weight, quad_form, uvw_map, uvw_inverse,
     quad_form_uvw, moments, moment_set, mc_matrix_oracle,
-    partial_zu_integrand, partial_Zu, sweep, SWEEP_SCHEMA, _axis_nodes,
-    _axis_rules, _ordered_sector_sums, _panel_order, _ref_panel, _zu_value)
+    partial_zu_integrand, partial_Zu, sweep, SWEEP_SCHEMA, _axis_rules,
+    _ordered_sector_sums, _panel_order, _ref_panel, _zu_value)
 
 FAST = dict(G=1.0, eps=0.1, L=3.0, resolution=32, samples=20_000, seed=5)
 # the frozen deep-cutoff point of the acceptance suite and the README
@@ -36,6 +36,10 @@ def test_config_validation():
         QGConfig(resolution=32.0)
     with pytest.raises(ValueError, match="sample count"):
         QGConfig(samples=0)
+    for bad in (dict(G=math.inf), dict(L=math.inf), dict(eps=math.nan),
+                dict(G=math.nan, L=math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            QGConfig(**bad)
 
 
 def test_action_matrix_identity():
@@ -131,9 +135,9 @@ def test_ordered_sector_rows_match_node_loop():
     s0, nums = _ordered_sector_sums(G, eps, L, n, exps_list)
     a, w_top, order = math.log(eps), G / (2.0 * L * L), _panel_order(n)
     ref = [0.0, 0.0, 0.0]
-    for m3, wt3 in zip(*_axis_nodes(a, math.log(L), 1.0, w_top, order)):
-        for m2, wt2 in zip(*_axis_nodes(a, m3, 1.0, w_top, order)):
-            for m1, wt1 in zip(*_axis_nodes(a, m2, 1.0, w_top, order)):
+    for m3, wt3 in zip(*_axis_rules(a, math.log(L), 1.0, w_top, order)[:2]):
+        for m2, wt2 in zip(*_axis_rules(a, m3, 1.0, w_top, order)[:2]):
+            for m1, wt1 in zip(*_axis_rules(a, m2, 1.0, w_top, order)[:2]):
                 lam = (math.exp(m1), math.exp(m2), math.exp(m3))
                 f = wt3 * wt2 * wt1 * eigen_weight(*lam, G) * math.prod(lam)
                 ref[0] += f
@@ -258,6 +262,8 @@ def test_partial_zu_validation():
         partial_Zu(0.0, 1.0)
     with pytest.raises(ValueError, match="G must be positive"):
         partial_Zu(1.0, -1.0)
+    with pytest.raises(ValueError, match="G must be positive and finite"):
+        partial_Zu(2.0, math.inf)
     with pytest.raises(ValueError, match="margin must be positive"):
         partial_Zu(1.0, 1.0, margin=0.0)
     for bad in (0, -5, 15, 32.0, "32"):
@@ -340,6 +346,19 @@ def test_partial_zu_rejects_infinite_u():
         partial_Zu(math.inf, 1.0, resolution=16)
 
 
+@pytest.mark.parametrize("u", [1e3, 1e300])
+def test_partial_zu_rejects_result_outside_double_range(u):
+    # the true value underflows (1e3) or the integrand overflows (1e300);
+    # it used to come back as a fake 0.0 +- 0.0 or as nan +- nan
+    with pytest.raises(ValueError, match="left the double range"):
+        partial_Zu(u, 1.0)
+
+
+def test_partial_zu_tiny_value_still_returned():
+    z = partial_Zu(100.0, 1.0, resolution=32)
+    assert 0 < z.value < 1e-15 and math.isfinite(z.error)
+
+
 @pytest.mark.parametrize("margin", [0.5, 0.6, 1.0])
 def test_partial_zu_rejects_margin_from_one_half(margin):
     # the v range [-u + 1.5 margin u, u/2 - 1.5 margin u] is empty there
@@ -398,10 +417,10 @@ def test_axis_rules_match_reference_on_every_sector_row(G, eps, L, n):
     a, b = math.log(eps), math.log(L)
     w_top, order = max(G / (2.0 * L * L), 1e-7), _panel_order(n)
     mu3, w3 = _ref_axis_nodes(a, b, 1.0, w_top, order)
-    _assert_rules_equal(_axis_nodes(a, b, 1.0, w_top, order), (mu3, w3))
+    _assert_rules_equal(_axis_rules(a, b, 1.0, w_top, order)[:2], (mu3, w3))
     for m3 in mu3:
         mu2, w2 = _ref_axis_nodes(a, m3, 1.0, w_top, order)
-        _assert_rules_equal(_axis_nodes(a, m3, 1.0, w_top, order),
+        _assert_rules_equal(_axis_rules(a, m3, 1.0, w_top, order)[:2],
                             (mu2, w2))
         _assert_rules_equal(
             _axis_rules(a, mu2, 1.0, w_top, order),
