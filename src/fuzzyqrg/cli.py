@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -28,11 +29,14 @@ class UsageError(Exception):
 
 
 def _write_output(text, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise UsageError("cannot write output file: %s" % e)
 
 
 def _positive(name):
@@ -121,9 +125,14 @@ def _parse_metric_entry(raw, exact):
         except (ValueError, ZeroDivisionError):
             raise UsageError("not a rational number: %r" % (raw,))
     try:
-        return float(raw) if not isinstance(raw, str) else float(Fraction(raw))
+        v = float(raw) if not isinstance(raw, str) else float(Fraction(raw))
+    except OverflowError:
+        v = math.inf
     except (TypeError, ValueError, ZeroDivisionError):
         raise UsageError("not a number: %r" % (raw,))
+    if not math.isfinite(v):
+        raise UsageError("not a finite number: %r" % (raw,))
+    return v
 
 
 def _load_metric(spec, exact):

@@ -9,6 +9,8 @@ with the algebra ([s^i, x_j] = 0) and
 
 with the top degree Omega^3 = A.(s1^s2^s3) retained.  The calculus is inner
 in degree 0: d a = theta a - a theta with theta = (1/(2 i lp)) x_i s^i.
+``d`` is the graded Leibniz extension of the two rules above (``_DX``,
+``_DS``), computed once per (monomial, basis key) by ``_d_term``.
 
 ``DiffForm`` holds one homogeneous degree k in {0,1,2,3} as a map from
 sorted index tuples to algebra coefficients (coefficients on the left, which
@@ -20,9 +22,9 @@ structure (sums, negation, left multiples, equality, rendering) from
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 
-from .scalars import ParamScalar, ONE, I, LP
+from .scalars import ONE, I, LP
 from .algebra import AlgElem, _acc
 
 __all__ = [
@@ -54,20 +56,18 @@ _DEGREE_KEYS = {
 }
 
 
-def _merge(left, right):
-    """Sorted merge of two strictly increasing index tuples.
+def _sort_key(seq):
+    """Sort a tuple of basis indices into a key.
 
-    Returns (key, sign) or None if an index repeats.
+    Returns (key, sign), the sign being the parity of the sorting
+    permutation, or None if an index repeats.
     """
-    if set(left) & set(right):
+    if len(set(seq)) < len(seq):
         return None
-    merged = tuple(sorted(left + right))
-    # parity of the permutation that sorts left + right
-    seq = left + right
     inversions = sum(
         1 for i in range(len(seq)) for j in range(i + 1, len(seq))
         if seq[i] > seq[j])
-    return merged, (-1 if inversions % 2 else 1)
+    return tuple(sorted(seq)), (-1 if inversions % 2 else 1)
 
 
 def _coerce_coeff(c):
@@ -193,7 +193,7 @@ class DiffForm(FormSum):
         acc = {}
         for kl, cl in self.components.items():
             for kr, cr in other.components.items():
-                m = _merge(kl, kr)
+                m = _sort_key(kl + kr)
                 if m is None:
                     continue
                 key, sign = m
@@ -217,51 +217,39 @@ def wedge(a, b):
     return a.wedge(b)
 
 
-def _dx(g):
-    """d x_g = eps_gjk x_j s^k as a 1-form."""
-    comps = {}
-    for j in (1, 2, 3):
-        for k in (1, 2, 3):
-            e = eps3(g, j, k)
-            if e:
-                coeff = AlgElem.generator(j)
-                comps[(k,)] = coeff if e > 0 else -coeff
-    return DiffForm(1, comps)
+# the calculus on the letters: d x_g = eps_gjk x_j s^k, and
+# d s^i = -(1/2) eps_ijk s^j ^ s^k = -eps_ijk s^j ^ s^k summed over j < k
+_DX = {g: DiffForm(1, {(k,): sum(eps3(g, j, k) * AlgElem.generator(j)
+                                 for j in (1, 2, 3)) for k in (1, 2, 3)})
+       for g in (1, 2, 3)}
+_DS = {i: DiffForm(2, {key: -eps3(i, *key) for key in _DEGREE_KEYS[2]})
+       for i in (1, 2, 3)}
 
 
-_DX = {g: _dx(g) for g in (1, 2, 3)}
+@lru_cache(maxsize=None)
+def _d_term(mono, key):
+    """d(x1^a x2^b x3^c s^I) by the graded Leibniz rule over the letters of
+    the term, as a tuple of (basis key, AlgElem) pairs.  Generator letters
+    have degree 0, so only the s letters before a letter sign its term.
+    """
+    word = (1,) * mono[0] + (2,) * mono[1] + (3,) * mono[2]
+    out = {}
 
+    def put(seq, c):
+        m = _sort_key(seq)
+        if m is not None:
+            _acc(out, m[0], c if m[1] > 0 else -c)
 
-def _ds(i):
-    """d s^i = -(1/2) eps_ijk s^j ^ s^k."""
-    comps = {}
-    half = ParamScalar.of(Fraction(1, 2))
-    for j in (1, 2, 3):
-        for k in (1, 2, 3):
-            e = eps3(i, j, k)
-            if not e:
-                continue
-            key, sign = _merge((j,), (k,))
-            _acc(comps, key, AlgElem.scalar(-half * e * sign))
-    return DiffForm(2, comps)
-
-
-_DS = {i: _ds(i) for i in (1, 2, 3)}
-
-
-def _d_monomial(a, b, c):
-    """d(x1^a x2^b x3^c) by the Leibniz rule over the generator word."""
-    out = DiffForm(1)
-    word = (1,) * a + (2,) * b + (3,) * c
     for pos, g in enumerate(word):
-        pre = word[:pos]
-        post = word[pos + 1:]
-        left = AlgElem.monomial(
-            (pre.count(1), pre.count(2), pre.count(3)))
-        right = AlgElem.monomial(
-            (post.count(1), post.count(2), post.count(3)))
-        out = out + left * _DX[g] * right
-    return out
+        left, right = (AlgElem.monomial(tuple(w.count(j) for j in (1, 2, 3)))
+                       for w in (word[:pos], word[pos + 1:]))
+        for (k,), c in _DX[g].components.items():
+            put((k,) + key, left * c * right)
+    coeff = AlgElem.monomial(mono)
+    for pos, i in enumerate(key):
+        for k, c in _DS[i].components.items():
+            put(key[:pos] + k + key[pos + 1:], (-1) ** pos * coeff * c)
+    return tuple(out.items())
 
 
 def d(form):
@@ -272,40 +260,12 @@ def d(form):
         raise TypeError("d expects an AlgElem or DiffForm")
     if form.degree == 3:
         return DiffForm(3)  # top degree: d vanishes identically
-    if form.degree == 0:
-        out = DiffForm(1)
-        a = form.components.get((), AlgElem.zero())
-        for (ka, kb, kc), q in a.terms.items():
-            out = out + q * _d_monomial(ka, kb, kc)
-        return out
-    # graded Leibniz: d(a s^I) = (d a) ^ s^I + a d(s^I)
-    out = DiffForm(form.degree + 1)
+    out = {}
     for key, coeff in form.components.items():
-        basis = DiffForm(form.degree, {key: AlgElem.one()})
-        out = out + d(coeff).wedge(basis)
-        out = out + coeff * _d_basis(key)
-    return out
-
-
-def _d_basis(key):
-    """d of a basis wedge monomial s^{i1} ^ ... (graded Leibniz on _DS)."""
-    n = len(key)
-    if n == 1:
-        return _DS[key[0]]
-    out = DiffForm(n + 1)
-    for pos, i in enumerate(key):
-        rest_pre = key[:pos]
-        rest_post = key[pos + 1:]
-        sign = -1 if pos % 2 else 1
-        term = _DS[i]
-        if rest_pre:
-            term = DiffForm(len(rest_pre),
-                            {rest_pre: AlgElem.one()}).wedge(term)
-        if rest_post:
-            term = term.wedge(
-                DiffForm(len(rest_post), {rest_post: AlgElem.one()}))
-        out = out + (term if sign > 0 else -term)
-    return out
+        for mono, q in coeff.terms.items():
+            for k, c in _d_term(mono, key):
+                _acc(out, k, q * c)
+    return DiffForm(form.degree + 1, out)
 
 
 def theta():

@@ -21,6 +21,7 @@ stay exact end to end, ``float`` entries compute in floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,6 +87,8 @@ def _normalize_entries(rows):
         else:
             out.append(tuple(v if isinstance(v, Fraction) else Fraction(v)
                              for v in r))
+    if has_float and not all(math.isfinite(v) for r in out for v in r):
+        raise ValueError("metric entries must be finite")
     return tuple(out), not has_float
 
 
@@ -121,11 +124,15 @@ class Metric3:
         det = _det3(entries)
         if not det:
             raise ValueError("metric not invertible")
-        adj = _adjugate3(entries)
+        inverse = tuple(tuple(v / det for v in row)
+                        for row in _adjugate3(entries))
+        if not exact and not all(
+                map(math.isfinite, (det,) + sum(inverse, ()))):
+            raise ValueError("metric determinant or inverse is not finite")
         self.entries = entries
         self.is_exact = exact
         self.det = det
-        self.inverse = tuple(tuple(v / det for v in row) for row in adj)
+        self.inverse = inverse
 
     @classmethod
     def identity(cls):

@@ -69,8 +69,10 @@ class QGConfig:
         if not 0 < self.eps < self.L:
             raise ValueError("cutoffs must satisfy 0 < eps < L")
         _check_resolution(self.resolution)
-        if self.samples < 1:
-            raise ValueError("sample count must be positive")
+        if not isinstance(self.samples, numbers.Integral) or self.samples < 1:
+            raise ValueError("sample count must be a positive integer")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -263,22 +265,28 @@ def moment_set(cfg, specs):
     """Moments for several multi-indices, sharing quadrature passes.
 
     Each moment is the ratio of the monomial-weighted integral to the
-    plain one; the error is the change from resolution n to n // 2.
+    plain one; the error is the change from resolution n to n // 2.  A
+    normalization that is not finite and positive, or a moment that is not
+    finite, at either resolution (an overflow at a huge L) raises
+    ``ValueError``.
     """
     specs = [tuple(s) for s in specs]
     exps_list = [_spec_exponents(s) for s in specs]
-    s0, nums = _ordered_sector_sums(cfg.G, cfg.eps, cfg.L,
-                                    cfg.resolution, exps_list)
-    s0h, numsh = _ordered_sector_sums(cfg.G, cfg.eps, cfg.L,
-                                      cfg.resolution // 2, exps_list)
-    if not (math.isfinite(s0) and s0 > 0):
-        raise ArithmeticError("quadrature normalization is not positive")
-    out = {}
-    for spec, num, numh in zip(specs, nums, numsh):
-        v = num / s0
-        vh = numh / s0h
-        out[spec] = MomentEstimate(spec=spec, value=v, error=abs(v - vh))
-    return out
+    passes = []
+    for n in (cfg.resolution, cfg.resolution // 2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                s0, nums = _ordered_sector_sums(cfg.G, cfg.eps, cfg.L, n,
+                                                exps_list)
+                passes.append([num / s0 for num in nums])
+            except (OverflowError, ZeroDivisionError):  # lam3 ** e, s0 == 0
+                s0 = math.nan
+        if not (0 < s0 < math.inf and all(map(math.isfinite, passes[-1]))):
+            raise ValueError(
+                "moments at G=%r, eps=%r, L=%r left the double range at "
+                "resolution %d" % (cfg.G, cfg.eps, cfg.L, n))
+    return {spec: MomentEstimate(spec=spec, value=v, error=abs(v - vh))
+            for spec, v, vh in zip(specs, *passes)}
 
 
 def moments(cfg, spec):

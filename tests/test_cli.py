@@ -173,6 +173,39 @@ def test_curvature_exact_rejects_floats(capsys):
     assert "exact mode" in err
 
 
+@pytest.mark.parametrize("metric", [
+    "[[1,0,0],[0,1,0],[0,0,1e999]]", '[[1,0,0],[0,1,0],[0,0,"1e999"]]',
+    "[[NaN,0,0],[0,1,0],[0,0,1]]", "[[1,0,0],[0,-Infinity,0],[0,0,1]]"])
+def test_curvature_non_finite_entry_is_usage_error(capsys, metric):
+    rc, out, err = run_cli(capsys, "curvature", "--metric", metric)
+    assert rc == 2
+    assert out == ""
+    assert "not a finite number" in err
+
+
+def test_curvature_metric_with_infinite_inverse_fails(capsys):
+    rc, out, err = run_cli(capsys, "curvature",
+                           "--metric", "[[1,0,0],[0,1,0],[0,0,1e-320]]")
+    assert rc == 1
+    assert out == ""
+    assert "not finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("curvature", "--metric", IDENTITY),
+    ("qg-partial", "--u", "2", "--resolution", "16"),
+    ("monopole", "connection"),
+])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv, target):
+    out_path = tmp_path / "missing" / "x.out" if target == "missing" \
+        else tmp_path
+    rc, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output file: ")
+
+
 def test_curvature_metric_from_file(tmp_path, capsys):
     path = tmp_path / "metric.json"
     path.write_text('{"metric": [[2,0,0],[0,2,0],[0,0,2]]}')
@@ -248,6 +281,20 @@ def test_qg_sweep_rejects_infinite_cutoff(capsys):
     assert rc == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--Lmin", "2", "--Lmax", "1e120", "--moments", "1,2,3"),
+    ("--Lmin", "2", "--Lmax", "1e200", "--steps", "1"),
+])
+def test_qg_sweep_rejects_moments_outside_double_range(recwarn, capsys,
+                                                       argv):
+    rc, out, err = run_cli(capsys, "qg-sweep", *argv, "--resolution", "16")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: moments at ")
+    assert "left the double range" in err
+    assert not recwarn.list
 
 
 def test_qg_partial_text(capsys):

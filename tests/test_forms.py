@@ -194,3 +194,143 @@ def test_tensor_form_rendering():
         "((1) * x1) s1(x)s1 + ((1) * x1 x3) s1(x)s2"
         " + ((lp) * 1) s3(x)s1 + ((lp) * x3) s3(x)s2")
     assert str(tensor(wedge(S1, S2), I * S3)) == "((i) * 1) s1^s2(x)s3"
+
+
+# -- reference d: the Leibniz rule over generators, over basis 1-forms and
+# -- over (coefficient, basis) as three recursions, each building its sum
+# -- term by term
+
+def _ref_dx(g):
+    """d x_g = eps_gjk x_j s^k as a 1-form."""
+    comps = {}
+    for j in (1, 2, 3):
+        for k in (1, 2, 3):
+            e = eps3(g, j, k)
+            if e:
+                coeff = AlgElem.generator(j)
+                comps[(k,)] = coeff if e > 0 else -coeff
+    return DiffForm(1, comps)
+
+
+def _ref_ds(i):
+    """d s^i = -(1/2) eps_ijk s^j ^ s^k."""
+    out = DiffForm(2)
+    for j in (1, 2, 3):
+        for k in (1, 2, 3):
+            out = out + AlgElem.scalar(ParamScalar.of(-eps3(i, j, k)) / 2) \
+                * wedge(s_basis(j), s_basis(k))
+    return out
+
+
+_REF_DX = {g: _ref_dx(g) for g in (1, 2, 3)}
+_REF_DS = {i: _ref_ds(i) for i in (1, 2, 3)}
+
+
+def _ref_d_monomial(a, b, c):
+    out = DiffForm(1)
+    word = (1,) * a + (2,) * b + (3,) * c
+    for pos, g in enumerate(word):
+        pre = word[:pos]
+        post = word[pos + 1:]
+        left = AlgElem.monomial(
+            (pre.count(1), pre.count(2), pre.count(3)))
+        right = AlgElem.monomial(
+            (post.count(1), post.count(2), post.count(3)))
+        out = out + left * _REF_DX[g] * right
+    return out
+
+
+def _ref_d_basis(key):
+    n = len(key)
+    if n == 1:
+        return _REF_DS[key[0]]
+    out = DiffForm(n + 1)
+    for pos, i in enumerate(key):
+        rest_pre = key[:pos]
+        rest_post = key[pos + 1:]
+        sign = -1 if pos % 2 else 1
+        term = _REF_DS[i]
+        if rest_pre:
+            term = DiffForm(len(rest_pre),
+                            {rest_pre: AlgElem.one()}).wedge(term)
+        if rest_post:
+            term = term.wedge(
+                DiffForm(len(rest_post), {rest_post: AlgElem.one()}))
+        out = out + (term if sign > 0 else -term)
+    return out
+
+
+def _ref_d(form):
+    if isinstance(form, AlgElem):
+        form = DiffForm.from_alg(form)
+    if form.degree == 3:
+        return DiffForm(3)
+    if form.degree == 0:
+        out = DiffForm(1)
+        a = form.components.get((), AlgElem.zero())
+        for (ka, kb, kc), q in a.terms.items():
+            out = out + q * _ref_d_monomial(ka, kb, kc)
+        return out
+    out = DiffForm(form.degree + 1)
+    for key, coeff in form.components.items():
+        basis = DiffForm(form.degree, {key: AlgElem.one()})
+        out = out + _ref_d(coeff).wedge(basis)
+        out = out + coeff * _ref_d_basis(key)
+    return out
+
+
+KEYS = {1: ((1,), (2,), (3,)), 2: ((1, 2), (1, 3), (2, 3)), 3: ((1, 2, 3),)}
+
+
+def rand_form(rng, degree):
+    """A form with a random polynomial coefficient (some with lp and i) on
+    every basis key of the degree."""
+    comps = {}
+    for key in KEYS[degree]:
+        c = rand_alg(rng)
+        if rng.random() < 0.5:
+            c = c + (LP if rng.random() < 0.5 else I) * rand_alg(rng, 2)
+        comps[key] = c
+    return DiffForm(degree, comps)
+
+
+def test_d_matches_reference_on_monomials():
+    for key in monomials_up_to(4):
+        a = AlgElem.monomial(key)
+        assert d(a) == _ref_d(a), f"d differs on {key}"
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_d_matches_reference_on_random_forms(degree):
+    rng = random.Random(67 + degree)
+    for _ in range(15):
+        w = rand_form(rng, degree)
+        dw = d(w)
+        assert dw.degree == degree + 1
+        assert dw == _ref_d(w)
+        assert d(dw).is_zero()
+
+
+def test_d_matches_reference_on_basis_forms():
+    for degree in (1, 2, 3):
+        for key in KEYS[degree]:
+            basis = DiffForm(degree, {key: AlgElem.one()})
+            assert d(basis) == _ref_d(basis), f"d differs on s^{key}"
+    assert d(wedge(wedge(S1, S2), S3)) == DiffForm(3)
+
+
+def test_d_of_a_two_form_with_polynomial_coefficients():
+    # d(x1 s2^s3) = (d x1) ^ s2^s3 = (x2 s3 - x3 s2) ^ s2^s3 = 0 and
+    # d(x2 s2^s3) = (x3 s1 - x1 s3) ^ s2^s3 = x3 s1^s2^s3
+    s23 = wedge(S2, S3)
+    vol = wedge(s23, S1)
+    assert d(X1 * s23).is_zero()
+    assert d(X2 * s23) == X3 * vol
+    assert d(X3 * X2 * s23) == _ref_d(X3 * X2 * s23)
+
+
+def test_d_results_do_not_share_state():
+    first = d(X1 * X2 * S1)
+    for coeff in first.components.values():
+        coeff.terms.clear()
+    assert d(X1 * X2 * S1) == _ref_d(X1 * X2 * S1)

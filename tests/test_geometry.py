@@ -1,5 +1,6 @@
 """Metric geometry: connection uniqueness, defect tensors, curvature."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -40,6 +41,17 @@ def test_metric_validation():
         Metric3([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError, match="not invertible"):
         Metric3.diagonal(1, 1, 0)
+
+
+@pytest.mark.parametrize("rows, msg", [
+    ([[math.nan, 0, 0], [0, 1, 0], [0, 0, 1]], "entries must be finite"),
+    ([[1.0, 0, 0], [0, 1, 0], [0, 0, math.inf]], "entries must be finite"),
+    ([[1.0, 0, 0], [0, 1, 0], [0, 0, 1e-320]], "inverse is not finite"),
+    ([[1e200, 0, 0], [0, 1e200, 0], [0, 0, 1.0]], "determinant or inverse"),
+])
+def test_metric_rejects_non_finite_float_data(rows, msg):
+    with pytest.raises(ValueError, match=msg):
+        Metric3(rows)
 
 
 def test_metric_inverse_exact():

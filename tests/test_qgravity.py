@@ -120,6 +120,23 @@ def test_quad_form_uvw_reference_point():
     assert quad_form_uvw(Fraction(2), Fraction(1, 2), Fraction(1, 2)) == -8
 
 
+@pytest.mark.parametrize("bad, msg", [
+    (dict(samples=2.5), "sample count"), (dict(samples=1e5), "sample count"),
+    (dict(seed=-1), "seed"), (dict(seed=1.5), "seed")])
+def test_config_rejects_bad_sampling_parameters(bad, msg):
+    with pytest.raises(ValueError, match=msg):
+        QGConfig(**bad)
+
+
+@pytest.mark.parametrize("L", [1e103, 1e150, 1e200])
+def test_moment_set_rejects_moments_outside_double_range(recwarn, L):
+    # 1e103 and 1e150 gave inf or nan moments; 1e200 raised OverflowError
+    cfg = QGConfig(L=L, resolution=16)
+    with pytest.raises(ValueError, match="left the double range"):
+        moment_set(cfg, [(1,), (1, 2, 3)])
+    assert not recwarn.list
+
+
 def test_moment_spec_validation():
     cfg = QGConfig(**FAST)
     with pytest.raises(ValueError, match="indices must be"):
