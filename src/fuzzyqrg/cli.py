@@ -116,8 +116,10 @@ def cmd_verify(args):
 
 
 def _parse_metric_entry(raw, exact):
+    if isinstance(raw, bool):
+        raise UsageError("not a number: %r" % (raw,))
     if exact:
-        if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        if not isinstance(raw, (int, str)):
             raise UsageError(
                 "exact mode requires integer or rational-string entries")
         try:
@@ -157,7 +159,12 @@ def _load_metric(spec, exact):
 
 
 def _render_value(v, exact):
-    return str(v) if exact else float(v)
+    if exact:
+        return str(v)
+    if not math.isfinite(v):
+        raise ValueError("the connection or curvature of this float "
+                         "metric left the double range")
+    return float(v)
 
 
 def _curvature_report(entries, exact):

@@ -10,7 +10,7 @@ weight becomes
 
 with Delta the Vandermonde factor, integrated over [eps, L]^3.  Moments
 are computed two independent ways: deterministic quadrature in eigenvalue
-coordinates, and rejection Monte Carlo directly over matrix entries.
+coordinates, and importance-sampled Monte Carlo over matrix entries.
 The (u, v, w) change of variables diagonalizes Q to -3u^2 + 12v^2 + 4w^2
 and yields the fluctuation integral Z_u at fixed mean eigenvalue u.
 
@@ -88,6 +88,7 @@ class MCEstimate:
     stderr: float
     n_accepted: int
     n_total: int
+    ess: float
 
 
 @dataclass(frozen=True)
@@ -299,68 +300,81 @@ def moments(cfg, spec):
 _MC_CHUNK = 8192
 
 
+def _det3(d, o):
+    """Determinants of symmetric 3x3 matrices with diagonal rows
+    d = (g11, g22, g33) and off-diagonal rows o = (g12, g13, g23)."""
+    return (d[0] * d[1] * d[2] + 2 * o[0] * o[1] * o[2]
+            - d[0] * o[2] ** 2 - d[1] * o[1] ** 2 - d[2] * o[0] ** 2)
+
+
+def _spectrum_within(d, o, eps, L):
+    """Whether each symmetric matrix (rows as in ``_det3``) has its whole
+    spectrum in (eps, L): the leading principal minors of g - eps and of
+    L - g are all positive."""
+    lo, hi = d - eps, L - d
+    return ((lo[0] > 0) & (hi[0] > 0) & (lo[0] * lo[1] > o[0] ** 2)
+            & (hi[0] * hi[1] > o[0] ** 2) & (_det3(lo, o) > 0)
+            & (_det3(hi, -o) > 0))
+
+
 def mc_matrix_oracle(cfg, observable):
     """Monte Carlo mean of observable(g) over symmetric matrices.
 
-    Samples diagonal entries uniformly in [eps, L] and off-diagonals in
-    [-(L-eps)/2, (L-eps)/2] (a box containing every symmetric matrix
-    with spectrum in [eps, L]), rejects samples whose eigenvalues leave
-    [eps, L], and weights by |det g|^{-2} exp(-(1/G)(Tr g^2
-    - (1/2)(Tr g)^2)).  Weights are carried relative to a running
-    log-scale shift, so actions of order L^2/G never overflow.  Returns
-    the weighted mean with a standard error from the ratio delta method.
-    Deterministic for a fixed seed.
+    Importance sampling of the six entries: off-diagonals from N(0, G/4),
+    the exact factor exp(-2 g_ij^2 / G) of the weight, and each diagonal
+    entry from an equal mixture on [eps, L] of uniform, an exponential
+    tilt toward L at rate L/G and log-uniform.  Draws whose spectrum leaves
+    [eps, L] are rejected; the rest are weighted by |det g|^{-2}
+    exp(-(1/G)(sum_i g_ii^2 - (1/2)(Tr g)^2)) over their diagonal density.
+    Chunk sums are carried under a running log shift, so actions of order
+    L^2/G never overflow, and centred on the first accepted observable, so
+    an offset leaves the standard error (ratio delta method) unchanged.
+    ``ess`` is Kish's (sum w)^2 / sum w^2.  Deterministic for a fixed seed.
     """
-    half = (cfg.L - cfg.eps) / 2.0
-    n_chunks = -(-cfg.samples // _MC_CHUNK)
-
-    def chunk(c):
+    G, eps, L = cfg.G, cfg.eps, cfg.L
+    rate, span, log_span = L / G, L - eps, math.log(L / eps)
+    # the tilt's density on [eps, L] is rate e^{rate (x - L)} / tilt
+    tilt = -math.expm1(-rate * span)
+    shift, sums, centre, accepted = -math.inf, np.zeros(5), 0.0, 0
+    for c in range(-(-cfg.samples // _MC_CHUNK)):
         count = min(_MC_CHUNK, cfg.samples - c * _MC_CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence(
             cfg.seed, spawn_key=(c,)))
-        diag = rng.uniform(cfg.eps, cfg.L, size=(count, 3))
-        off = rng.uniform(-half, half, size=(count, 3))
-        gs = np.zeros((count, 3, 3))
-        gs[:, 0, 0], gs[:, 1, 1], gs[:, 2, 2] = diag.T
-        gs[:, 0, 1] = gs[:, 1, 0] = off[:, 0]
-        gs[:, 0, 2] = gs[:, 2, 0] = off[:, 1]
-        gs[:, 1, 2] = gs[:, 2, 1] = off[:, 2]
-        lam = np.linalg.eigvalsh(gs)
-        keep = (lam[:, 0] >= cfg.eps) & (lam[:, -1] <= cfg.L)
-        gs = gs[keep]
-        if len(gs) == 0:
-            return (-math.inf,) + (0.0,) * 5 + (0,)
-        tr = np.trace(gs, axis1=1, axis2=2)
-        tr2 = np.sum(gs * gs, axis=(1, 2))
-        det = np.linalg.det(gs)  # positive: the spectrum lies in [eps, L]
-        logw = -2.0 * np.log(det) - (tr2 - 0.5 * tr * tr) / cfg.G
-        shift = float(np.max(logw))
-        w = np.exp(logw - shift)
+        u = rng.random((3, count))
+        d = np.choose(rng.integers(3, size=(3, count)), [
+            eps + span * u, L + np.log1p(-tilt * u) / rate,
+            eps * np.exp(log_span * u)])
+        o = rng.normal(0.0, math.sqrt(G) / 2, size=(3, count))
+        keep = _spectrum_within(d, o, eps, L)
+        if not keep.any():
+            continue
+        d, o = d[:, keep], o[:, keep]
+        density = (1 / span + rate * np.exp(rate * (d - L)) / tilt
+                   + 1 / (d * log_span)) / 3
+        logw = (-2 * np.log(_det3(d, o))
+                - (np.sum(d * d, axis=0) - 0.5 * np.sum(d, axis=0) ** 2) / G
+                - np.sum(np.log(density), axis=0))
+        gs = np.stack([d[0], o[0], o[1], o[0], d[1], o[2], o[1], o[2], d[2]],
+                      axis=-1).reshape(-1, 3, 3)
         obs = np.array([float(observable(g)) for g in gs])
-        return (shift, float(np.sum(w)), float(np.sum(w * obs)),
-                float(np.sum(w * w)), float(np.sum(w * w * obs)),
-                float(np.sum(w * w * obs * obs)), len(gs))
-
-    parts = [chunk(c) for c in range(n_chunks)]
-    shift = max(p[0] for p in parts)
-    scaled = []
-    for p in parts:
-        f = math.exp(p[0] - shift) if p[6] else 0.0
-        scaled.append((f * p[1], f * p[2],
-                       f * f * p[3], f * f * p[4], f * f * p[5]))
-    s_w = math.fsum(p[0] for p in scaled)
-    s_wo = math.fsum(p[1] for p in scaled)
-    s_w2 = math.fsum(p[2] for p in scaled)
-    s_w2o = math.fsum(p[3] for p in scaled)
-    s_w2o2 = math.fsum(p[4] for p in scaled)
-    accepted = sum(p[6] for p in parts)
-    if accepted == 0:
+        if not accepted:
+            centre = float(obs[0])
+        obs -= centre
+        top = max(shift, float(np.max(logw)))
+        w = np.exp(logw - top)
+        sums = (sums * math.exp(shift - top) ** np.array([1, 1, 2, 2, 2])
+                + np.stack([w, w * obs, w * w, w * w * obs,
+                            w * w * obs * obs]).sum(axis=1))
+        shift, accepted = top, accepted + len(obs)
+    if not accepted:
         raise RuntimeError(
             "no Monte Carlo samples accepted; check eps, L and sample count")
-    ratio = s_wo / s_w
-    var = (s_w2o2 - 2 * ratio * s_w2o + ratio * ratio * s_w2) / (s_w * s_w)
-    return MCEstimate(value=ratio, stderr=math.sqrt(max(var, 0.0)),
-                      n_accepted=accepted, n_total=cfg.samples)
+    s_w, s_wo, s_w2, s_w2o, s_w2o2 = sums.tolist()
+    mean = s_wo / s_w
+    var = (s_w2o2 - 2 * mean * s_w2o + mean * mean * s_w2) / (s_w * s_w)
+    return MCEstimate(value=centre + mean, stderr=math.sqrt(max(var, 0.0)),
+                      n_accepted=accepted, n_total=cfg.samples,
+                      ess=s_w * s_w / s_w2)
 
 
 # -- partial theory at fixed mean eigenvalue --------------------------------
@@ -496,9 +510,11 @@ def sweep(cfg, L_values, specs=((1,),)):
     Every row carries the requested moment plus two derived columns:
     ratio_16over3 = <lam1 lam2>/<lam1>^2 and uncertainty
     = sqrt(<lam1^2> - <lam1>^2)/<lam1>, the quantities whose large-L
-    trends are the interesting ones.  Ratios are omitted (None) when the
-    denominator does not exceed its own error estimate.  Output is byte
-    deterministic for a fixed config.
+    trends are the interesting ones.  Both are omitted (None) when <lam1>
+    does not exceed its own error estimate, and the uncertainty also when
+    the variance does not exceed its halving error plus the rounding of
+    the difference (a variance that cancels to 0 is not measured).  Output
+    is byte deterministic for a fixed config.
     """
     specs = [tuple(s) for s in specs]
     wanted = list(dict.fromkeys(list(_RATIO_SPECS) + specs))
@@ -514,7 +530,10 @@ def sweep(cfg, L_values, specs=((1,),)):
         if m1.value > m1.error:
             ratio = m12.value / (m1.value * m1.value)
             var = m11.value - m1.value * m1.value
-            unc = math.sqrt(max(var, 0.0)) / m1.value
+            noise = (m11.error + m1.error * (2 * m1.value + m1.error)
+                     + 4 * 2.0 ** -52 * m11.value)
+            if var > noise:
+                unc = math.sqrt(var) / m1.value
         for spec in specs:
             e = est[spec]
             rows.append({

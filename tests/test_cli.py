@@ -191,6 +191,25 @@ def test_curvature_metric_with_infinite_inverse_fails(capsys):
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_curvature_non_finite_result_fails(capsys, fmt):
+    # det = 1 and a finite inverse, but the curvature overflows
+    rc, out, err = run_cli(capsys, "curvature", "--format", fmt, "--metric",
+                           "[[1e150,0,0],[0,1e-150,0],[0,0,1]]")
+    assert rc == 1
+    assert out == ""
+    assert "left the double range" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--exact"]])
+def test_curvature_boolean_entry_is_usage_error(capsys, extra):
+    rc, out, err = run_cli(capsys, "curvature", *extra,
+                           "--metric", "[[true,0,0],[0,1,0],[0,0,1]]")
+    assert rc == 2
+    assert out == ""
+    assert "not a number: True" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("curvature", "--metric", IDENTITY),
     ("qg-partial", "--u", "2", "--resolution", "16"),
@@ -281,6 +300,17 @@ def test_qg_sweep_rejects_infinite_cutoff(capsys):
     assert rc == 2
     assert out == ""
     assert "finite" in err
+
+
+def test_qg_sweep_omits_uncertainty_when_variance_cancels(capsys):
+    # <lam1^2> - <lam1>^2 rounds to 0 here; it is not a measured 0
+    rc, out, err = run_cli(capsys, "qg-sweep", "--G", "1e-6", "--eps", "0.1",
+                           "--Lmin", "100", "--Lmax", "100", "--steps", "1",
+                           "--resolution", "16", "--format", "json")
+    assert rc == 0
+    row, = json.loads(out)["rows"]
+    assert row["ratio_16over3"] == 1.0
+    assert row["uncertainty"] is None
 
 
 @pytest.mark.parametrize("argv", [
