@@ -19,14 +19,26 @@ from .monopole import (
     AlgMatrix, FormMatrix, coords, projector, projector_dP,
     grassmann_connection, grassmann_closed_form, monopole_curvature,
     f23_factor)
-from .qgravity import (
-    QGConfig, MomentEstimate, MCEstimate, PartialZu, SweepResult,
-    SWEEP_SCHEMA, action_matrix, quad_form, eigen_weight, uvw_map,
-    uvw_inverse, quad_form_uvw, moment_set, mc_matrix_oracle, partial_Zu,
-    sweep)
 from .verify import SUITES, run_suite
 
 __version__ = "0.1.0"
+
+# served by __getattr__ (PEP 562), so that the exact layers load without
+# NumPy
+_QGRAVITY = (
+    "QGConfig", "MomentEstimate", "MCEstimate", "PartialZu", "SweepResult",
+    "SWEEP_SCHEMA", "action_matrix", "quad_form", "eigen_weight",
+    "uvw_map", "uvw_inverse", "quad_form_uvw", "moment_set",
+    "mc_matrix_oracle", "partial_Zu", "sweep")
+
+
+def __getattr__(name):
+    if name not in _QGRAVITY:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    from . import qgravity
+    return getattr(qgravity, name)
+
 
 __all__ = [
     "ParamScalar", "LP", "I", "ONE", "ZERO",
@@ -40,10 +52,7 @@ __all__ = [
     "AlgMatrix", "FormMatrix", "coords", "projector", "projector_dP",
     "grassmann_connection", "grassmann_closed_form", "monopole_curvature",
     "f23_factor",
-    "QGConfig", "MomentEstimate", "MCEstimate", "PartialZu", "SweepResult",
-    "SWEEP_SCHEMA", "action_matrix", "quad_form", "eigen_weight",
-    "uvw_map", "uvw_inverse", "quad_form_uvw", "moment_set",
-    "mc_matrix_oracle", "partial_Zu", "sweep",
+    *_QGRAVITY,
     "SUITES", "run_suite",
     "__version__",
 ]

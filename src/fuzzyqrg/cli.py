@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 
 from .geometry import Metric3, qlc, curvature
-from .qgravity import QGConfig, partial_Zu, sweep
 from .verify import (SUITES, run_suite, connection_closed_form_holds,
                      curvature_factors_hold)
 
@@ -223,6 +222,7 @@ def _parse_moments(raw_list):
 
 
 def cmd_qg_sweep(args):
+    from .qgravity import QGConfig, sweep
     specs = _parse_moments(args.moments)
     if args.steps < 1:
         raise UsageError("steps must be at least 1")
@@ -245,6 +245,7 @@ def cmd_qg_sweep(args):
 
 
 def cmd_qg_partial(args):
+    from .qgravity import partial_Zu
     try:
         z = partial_Zu(args.u, args.G, resolution=args.resolution,
                        margin=args.margin)

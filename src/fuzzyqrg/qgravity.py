@@ -14,12 +14,12 @@ coordinates, and importance-sampled Monte Carlo over matrix entries.
 The (u, v, w) change of variables diagonalizes Q to -3u^2 + 12v^2 + 4w^2
 and yields the fluctuation integral Z_u at fixed mean eigenvalue u.
 
-Each formula is written once: ``log_eigen_weight`` is the single
-definition of the eigenvalue weight (the quadrature kernel and
-``eigen_weight`` both call it), ``partial_zu_integrand`` is the Z_u
-integrand, and ``action_matrix`` is ``geometry.scalar_closed_form``.  The
-Monte Carlo oracle keeps its own matrix-coordinate log-weight so that it
-stays an independent check of the quadrature.
+Each formula is written once: ``_log_weight`` is the eigenvalue weight
+(``log_eigen_weight`` and the quadrature kernel call it), ``_quad_sym``
+is Q, ``partial_zu_integrand`` is the Z_u integrand, and ``action_matrix``
+is ``geometry.scalar_closed_form``.  The Monte Carlo oracle keeps its own
+matrix-coordinate log-weight so that it stays an independent check of
+the quadrature.
 """
 
 from __future__ import annotations
@@ -101,10 +101,20 @@ class PartialZu:
 # -- pointwise quantities ---------------------------------------------------
 
 
+def _quad_sym(s, e2):
+    """Q in the eigenvalue sum s and the pairwise-product sum e2."""
+    return s * s - 4 * e2
+
+
 def quad_form(l1, l2, l3):
     """Q = sum of squares minus twice the sum of pairwise products."""
-    return (l1 * l1 + l2 * l2 + l3 * l3
-            - 2 * (l1 * l2 + l1 * l3 + l2 * l3))
+    return _quad_sym(l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3)
+
+
+def _log_weight(log_vdm, log_measure, s, e2, G):
+    """log |Delta| - log_measure - Q / 2G; log_measure is 2 sum log lam, or
+    sum mu for the weight times the Jacobian lam1 lam2 lam3 of lam = e^mu."""
+    return log_vdm - log_measure - _quad_sym(s, e2) / (2.0 * G)
 
 
 def log_eigen_weight(l1, l2, l3, G):
@@ -114,25 +124,22 @@ def log_eigen_weight(l1, l2, l3, G):
     Broadcasts over arrays; coincident eigenvalues give -inf.
     """
     with np.errstate(divide="ignore"):
-        return (np.log(np.abs(l1 - l2)) + np.log(np.abs(l1 - l3))
-                + np.log(np.abs(l2 - l3))
-                - 2.0 * (np.log(np.abs(l1)) + np.log(np.abs(l2))
-                         + np.log(np.abs(l3)))
-                - quad_form(l1, l2, l3) / (2.0 * G))
+        return _log_weight(
+            np.log(np.abs(l1 - l2)) + np.log(np.abs(l1 - l3))
+            + np.log(np.abs(l2 - l3)),
+            2.0 * (np.log(np.abs(l1)) + np.log(np.abs(l2))
+                   + np.log(np.abs(l3))),
+            l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3, G)
 
 
 def eigen_weight(l1, l2, l3, G):
-    """Eigenvalue-coordinate weight
-    |Delta| / (l1 l2 l3)^2 * exp(-Q / 2G)."""
+    """The eigenvalue-coordinate weight, exp of ``log_eigen_weight``."""
     return np.exp(log_eigen_weight(l1, l2, l3, G))
 
 
 def uvw_map(l1, l2, l3):
     """(u, v, w) coordinates diagonalizing the quadratic form."""
-    u = (l1 + l2 + l3) / 3
-    v = (l2 + l3 - 2 * l1) / 6
-    w = (l3 - l2) / 2
-    return u, v, w
+    return (l1 + l2 + l3) / 3, (l2 + l3 - 2 * l1) / 6, (l3 - l2) / 2
 
 
 def uvw_inverse(u, v, w):
@@ -201,64 +208,65 @@ def _axis_rules(a, b, w_bot, w_top, order):
     return nodes.ravel(), weights.ravel(), keep.sum(axis=-1) * order
 
 
-def _sym_terms(exps):
-    """Distinct permutations of an exponent triple, in a fixed order."""
-    return sorted(set(itertools.permutations(exps)))
-
-
 def _spec_exponents(spec):
-    exps = [0, 0, 0]
-    for i in spec:
-        if i not in (1, 2, 3):
-            raise ValueError("moment indices must be 1, 2 or 3")
-        exps[i - 1] += 1
-    return tuple(exps)
+    if not set(spec) <= {1, 2, 3}:
+        raise ValueError("moment indices must be 1, 2 or 3")
+    return tuple(map(spec.count, (1, 2, 3)))
+
+
+# sums over the distinct permutations of exponent triples of degree 1, 2
+_SYM_CLOSED = {(1, 0, 0): lambda s, e2: s, (1, 1, 0): lambda s, e2: e2,
+               (2, 0, 0): lambda s, e2: s * s - 2.0 * e2}
 
 
 def _ordered_sector_sums(G, eps, L, n, exps_list):
     """Integrals of the weight times symmetrized monomials over the
     ordered sector eps <= lam1 <= lam2 <= lam3 <= L.
 
-    Works in log coordinates, where the ordered-sector integrand is
-    smooth (the Vandermonde carries no absolute-value kink there), and
-    rescales by the peak log-integrand so arbitrarily large L^2/G costs
-    no overflow.  Panels are graded toward both ends of every axis: the
-    exponential favors near-equal eigenvalues near the upper cutoff with
-    a peak of log-width about G/L^2, while the 1/lam^2 measure pins mass
-    within about one log unit of the lower cutoff.  Each outer node lam3
-    is one row of (lam2, lam1) nodes, built by one ``_axis_rules`` call
-    over all of the row's lam2 ends and summed under its own peak shift;
-    the rows are then combined relative to the largest shift in their
-    fixed order.  Returns (S0, [S_e...]) up to one common exp(shift)
-    factor, which cancels in all moment ratios.
+    Works in mu = log lam, where the integrand is smooth and the Jacobian
+    leaves the measure exp(-sum mu).  Panels are graded toward both ends
+    of every axis: toward the peak near lam = L (log-width about G/L^2)
+    and the mass pinned near eps.  Each lam3 node is one row of (lam2,
+    lam1) nodes from one ``_axis_rules`` call, summed under its own peak
+    shift (no overflow at any L^2/G); rows combine relative to the largest
+    shift in fixed order.  Degree 1 and 2 monomials are ``_SYM_CLOSED``.
+    Returns (S0, [S_e...]) up to a common exp(shift), which cancels in all
+    moment ratios.
     """
     a, b = math.log(eps), math.log(L)
     w_top = max(G / (2.0 * L * L), 1e-7)
     order = _panel_order(n)
-    terms = [_sym_terms(exps) for exps in exps_list]
+    plan = [(_SYM_CLOSED.get(tuple(sorted(e, reverse=True))),
+             sorted(set(itertools.permutations(e)))) for e in exps_list]
+    needed = {k for closed, perms in plan if not closed
+              for p in perms for k in enumerate(p)}
     mu3, w3, _ = _axis_rules(a, b, 1.0, w_top, order)
     shifts, rows = [], []
     for m3, wt3 in zip(mu3, w3):
         mu2, w2, _ = _axis_rules(a, m3, 1.0, w_top, order)
         mu1, w1, counts = _axis_rules(a, mu2, 1.0, w_top, order)
-        mu2, w2 = np.repeat(mu2, counts), np.repeat(w2, counts)
-        l1, l2, l3 = np.exp(mu1), np.exp(mu2), math.exp(m3)
-        # log of weight * Jacobian (lam1 lam2 lam3 from d lam = lam d mu)
-        logf = log_eigen_weight(l1, l2, l3, G) + (mu1 + mu2 + m3)
+        l2, l3 = np.exp(mu2), math.exp(m3)
+        # per lam2 node: mu2 + mu3 - log(lam3 - lam2) - log w2, in log_measure
+        own2 = (mu2 + m3) - np.log(l3 - l2) - np.log(w2)
+        l1, l2 = np.exp(mu1), np.repeat(l2, counts)
+        s, e2 = l1 + (l2 + l3), l1 * (l2 + l3) + l2 * l3
+        logf = _log_weight(np.log(l2 - l1) + np.log(l3 - l1),
+                           mu1 + np.repeat(own2, counts), s, e2, G)
         shift = float(np.max(logf))
-        base = wt3 * w2 * w1 * np.exp(logf - shift)
+        base = w1 * np.exp(logf - shift)
+        pw = {k: (l1, l2, l3)[k[0]] ** k[1] for k in needed}
         sums = [float(np.sum(base))]
-        for perms in terms:
-            acc = np.zeros_like(base)
-            for (e1, e2, e3) in perms:
-                acc += base * (l1 ** e1) * (l2 ** e2) * (l3 ** e3)
-            sums.append(float(np.sum(acc)) / len(perms))
+        for closed, perms in plan:
+            mono = closed(s, e2) if closed else sum(
+                math.prod(pw[k] for k in enumerate(p)) for p in perms)
+            # einsum, not np.dot: BLAS splits a long dot by thread count
+            sums.append(float(np.einsum("i,i", base, mono)) / len(perms))
         shifts.append(shift)
-        rows.append(sums)
+        rows.append([wt3 * x for x in sums])
     top = max(shifts)
     scales = [math.exp(s - top) for s in shifts]
     totals = [math.fsum(f * sums[i] for f, sums in zip(scales, rows))
-              for i in range(len(terms) + 1)]
+              for i in range(len(plan) + 1)]
     return totals[0], totals[1:]
 
 
@@ -275,7 +283,8 @@ def moment_set(cfg, specs):
     exps_list = [_spec_exponents(s) for s in specs]
     passes = []
     for n in (cfg.resolution, cfg.resolution // 2):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore",
+                         divide="ignore"):
             try:
                 s0, nums = _ordered_sector_sums(cfg.G, cfg.eps, cfg.L, n,
                                                 exps_list)
@@ -478,11 +487,10 @@ class SweepResult:
         import io
         buf = io.StringIO()
         buf.write("# schema=%s\n" % self.schema)
-        er = self.eps_report
-        buf.write("# eps_stability: L=%r eps=%r eps_half=%r "
-                  "mean_lambda=%r mean_lambda_half=%r rel_change=%r\n"
-                  % (er["L"], er["eps"], er["eps_half"], er["mean_lambda"],
-                     er["mean_lambda_half"], er["rel_change"]))
+        buf.write("# eps_stability: L=%(L)r eps=%(eps)r eps_half=%(eps_half)r"
+                  " mean_lambda=%(mean_lambda)r mean_lambda_half="
+                  "%(mean_lambda_half)r rel_change=%(rel_change)r\n"
+                  % self.eps_report)
         wr = csv.writer(buf, lineterminator="\n")
         cols = ("L", "G", "eps", "moment_spec", "estimate", "error",
                 "ratio_16over3", "uncertainty")
@@ -493,15 +501,8 @@ class SweepResult:
 
     def to_json(self):
         import json
-        return json.dumps({
-            "schema": self.schema,
-            "rows": list(self.rows),
-            "eps_stability": self.eps_report,
-        }, indent=2, sort_keys=False) + "\n"
-
-
-def _spec_label(spec):
-    return ",".join(str(i) for i in spec)
+        return json.dumps({"schema": self.schema, "rows": list(self.rows),
+                           "eps_stability": self.eps_report}, indent=2) + "\n"
 
 
 def sweep(cfg, L_values, specs=((1,),)):
@@ -525,8 +526,7 @@ def sweep(cfg, L_values, specs=((1,),)):
         m1, m12, m11 = est[(1,)], est[(1, 2)], est[(1, 1)]
         if float(L) == l_max:
             v = m1.value
-        ratio = None
-        unc = None
+        ratio = unc = None
         if m1.value > m1.error:
             ratio = m12.value / (m1.value * m1.value)
             var = m11.value - m1.value * m1.value
@@ -538,7 +538,7 @@ def sweep(cfg, L_values, specs=((1,),)):
             e = est[spec]
             rows.append({
                 "L": float(L), "G": cfg.G, "eps": cfg.eps,
-                "moment_spec": _spec_label(spec),
+                "moment_spec": ",".join(map(str, spec)),
                 "estimate": e.value, "error": e.error,
                 "ratio_16over3": ratio, "uncertainty": unc,
             })

@@ -436,6 +436,30 @@ def test_module_invocation_subprocess():
     assert "PASS" in proc.stdout
 
 
+def test_exact_subcommands_leave_numpy_unimported():
+    # a fresh process: the exact layers and their subcommands, then the
+    # star import, which must still bind every name in __all__
+    script = (
+        "import sys\n"
+        "from fuzzyqrg.cli import main\n"
+        "assert 'numpy' not in sys.modules\n"
+        "for argv in (['verify'], ['curvature', '--metric', %r],\n"
+        "             ['curvature', '--exact', '--metric', %r],\n"
+        "             ['monopole', 'connection'],\n"
+        "             ['monopole', 'curvature']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "import fuzzyqrg\n"
+        "from fuzzyqrg import *\n"
+        "missing = [n for n in fuzzyqrg.__all__ if n not in globals()]\n"
+        "assert not missing, missing\n"
+        "assert QGConfig is sys.modules['fuzzyqrg.qgravity'].QGConfig\n"
+        % (GOLDEN_METRIC, GOLDEN_METRIC))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_script_installed():
     """The declared console script resolves to main and runs as pip's wrapper would."""
     if sys.version_info >= (3, 11):
