@@ -214,9 +214,9 @@ def _parse_moments(raw_list):
         try:
             spec = tuple(int(t) for t in raw.split(",") if t.strip())
         except ValueError:
+            spec = ()
+        if not spec:
             raise UsageError("bad moment spec: %r" % raw)
-        if not spec or any(i not in (1, 2, 3) for i in spec):
-            raise UsageError("moment indices must be 1, 2 or 3: %r" % raw)
         specs.append(spec)
     return specs
 

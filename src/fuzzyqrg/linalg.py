@@ -1,9 +1,10 @@
 """Small exact linear-algebra helpers over an arbitrary field.
 
 Entries only need +, -, *, / and truthiness (nonzero test); Fraction,
-ParamScalar and float all qualify.  Elimination uses largest-pivot selection
-when entries are ordered (exact rationals, floats) and first-nonzero
-selection otherwise.
+ParamScalar and float all qualify.  Elimination takes the first nonzero
+pivot of each column, with no magnitude ordering: the Levi-Civita system
+has the same 0/+-1 matrix for every metric (a float metric enters only the
+right-hand side) and the monopole system has exact ParamScalar entries.
 """
 
 from __future__ import annotations
@@ -16,19 +17,7 @@ class SingularSystemError(ValueError):
 
 
 def _pivot_row(rows, col, start):
-    best = None
-    best_mag = None
-    for r in range(start, len(rows)):
-        v = rows[r][col]
-        if not v:
-            continue
-        try:
-            mag = abs(v)
-        except TypeError:
-            return r  # unordered field: first nonzero wins
-        if best_mag is None or mag > best_mag:
-            best, best_mag = r, mag
-    return best
+    return next((r for r in range(start, len(rows)) if rows[r][col]), None)
 
 
 def _eliminate(rows, ncols):

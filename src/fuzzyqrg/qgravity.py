@@ -259,7 +259,7 @@ def _ordered_sector_sums(G, eps, L, n, exps_list):
         for closed, perms in plan:
             mono = closed(s, e2) if closed else sum(
                 math.prod(pw[k] for k in enumerate(p)) for p in perms)
-            # einsum, not np.dot: BLAS splits a long dot by thread count
+            # einsum, not a BLAS dot, which splits a long row by thread count
             sums.append(float(np.einsum("i,i", base, mono)) / len(perms))
         shifts.append(shift)
         rows.append([wt3 * x for x in sums])
@@ -394,47 +394,43 @@ def partial_zu_integrand(u, v, w, G):
     |9v^2 - w^2| w / ((u - 2v)^2 ((u + v)^2 - w^2)^2)
     * exp(-(2/G)(3v^2 + w^2)).
 
-    Broadcasts over arrays of w, bit-identically to scalar calls: the
-    w-dependent square is a product because libm pow(x, 2) is not always
-    the correctly rounded x * x that NumPy uses for arrays.
+    Broadcasts over arrays of v and w, bit-identically to scalar calls:
+    every square is a product because libm pow(x, 2) is not always the
+    correctly rounded x * x that NumPy uses for arrays.
     """
     num = np.abs(9 * v * v - w * w) * w
-    q = (u + v) ** 2 - w * w
-    den = (u - 2 * v) ** 2 * (q * q)
-    return num / den * np.exp(-(2.0 / G) * (3 * v * v + w * w))
+    p, q = u - 2 * v, (u + v) * (u + v) - w * w
+    return num / ((p * p) * (q * q)) * np.exp(-(2.0 / G) * (3 * v * v + w * w))
 
 
 def _zu_value(u, G, n, margin):
     """Z_u at panel order ``_panel_order(n)``: v is graded toward v = u/2,
     and w toward w = u + v (the excluded poles) and split at its kink
-    w = 3|v|.  The w rules of one v panel (``order`` consecutive v nodes)
-    come from one ``_axis_rules`` call; the integrand is evaluated per v
-    and per w segment."""
+    w = 3|v|.  Every v node has the two w intervals [0, cut] and
+    [cut, w_hi], with cut = 3|v| where the kink splits [0, w_hi] and
+    cut = 0 (no panels) where it does not.  A v panel (``order``
+    consecutive v nodes) is one row: one ``_axis_rules`` call, one
+    integrand call and one ``np.sum``, NumPy's pairwise sum, whose bits,
+    unlike a BLAS dot's or an einsum's, depend on neither the thread
+    count nor the SIMD target."""
     order = _panel_order(n)
     dv = margin * 1.5 * u          # relative to the v-range size 3u/2
     v_nodes, v_wts, _ = _axis_rules(-u + dv, u / 2 - dv, u / 2, dv, order)
-    totals = []
+    rows = []
     for j in range(0, len(v_nodes), order):
         vs, wvs = v_nodes[j:j + order], v_wts[j:j + order]
         w_hi = (u + vs) * (1.0 - margin)
         kink = 3 * np.abs(vs)
-        split = (0.0 < kink) & (kink < w_hi)
-        # segments [0, kink] (where split) and [kink or 0, w_hi], per v
-        segs = np.column_stack([split, np.ones_like(split)])
-        lo = np.column_stack([np.zeros_like(vs),
-                              np.where(split, kink, 0.0)])[segs]
-        hi = np.column_stack([kink, w_hi])[segs]
-        top = np.column_stack([kink / 4, margin * (u + vs)])[segs]
-        nodes, wts, counts = _axis_rules(lo, hi, (hi - lo) / 4, top, order)
-        ends = np.cumsum(counts)[:-1]
-        rules = zip(np.split(wts, ends), np.split(nodes, ends))
-        for v, wv, k in zip(vs, wvs, 1 + split):
-            inner = 0.0
-            for w_wts, w_nodes in itertools.islice(rules, k):
-                inner += float(np.dot(w_wts,
-                                      partial_zu_integrand(u, v, w_nodes, G)))
-            totals.append(wv * inner)
-    return 4.0 * math.fsum(totals)
+        cut = np.where((0.0 < kink) & (kink < w_hi), kink, 0.0)
+        lo = np.column_stack([np.zeros_like(cut), cut])
+        hi = np.column_stack([cut, w_hi])
+        top = np.column_stack([cut / 4, margin * (u + vs)])
+        w, ww, counts = _axis_rules(lo, hi, (hi - lo) / 4, top, order)
+        k = counts.sum(axis=1)          # w nodes per v node
+        ww *= np.repeat(wvs, k)         # w_v w_w in place: a row is large
+        rows.append(float(np.sum(
+            ww * partial_zu_integrand(u, np.repeat(vs, k), w, G))))
+    return 4.0 * math.fsum(rows)
 
 
 def partial_Zu(u, G, resolution=64, margin=1e-4):

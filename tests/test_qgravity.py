@@ -314,13 +314,16 @@ def test_partial_zu_integrand_spot_value():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.floats(0.5, 5.0), st.floats(-0.9, 0.45), st.floats(0.1, 5.0),
-       st.lists(st.floats(0.0, 0.99), min_size=1, max_size=20))
-def test_partial_zu_integrand_array_matches_scalar(u, v_frac, G, w_fracs):
-    v = v_frac * u
-    ws = [f * (u + v) for f in w_fracs]
-    got = partial_zu_integrand(u, v, np.array(ws), G)
-    assert list(got) == [partial_zu_integrand(u, v, w, G) for w in ws]
+@given(st.floats(0.5, 5.0), st.floats(0.1, 5.0),
+       st.lists(st.tuples(st.floats(-0.9, 0.45), st.floats(0.0, 0.99)),
+                min_size=1, max_size=20))
+def test_partial_zu_integrand_array_matches_scalar(u, G, fracs):
+    vs = [v_frac * u for v_frac, _ in fracs]
+    for v_arg, v_list in ((np.array(vs), vs), (vs[0], [vs[0]] * len(vs))):
+        ws = [w_frac * (u + v) for v, (_, w_frac) in zip(v_list, fracs)]
+        got = partial_zu_integrand(u, v_arg, np.array(ws), G)
+        assert list(got) == [partial_zu_integrand(u, v, w, G)
+                             for v, w in zip(v_list, ws)]
 
 
 def test_partial_zu_validation():
@@ -502,7 +505,7 @@ def test_zu_segments_match_reference(monkeypatch, G, margin):
 
     def recording(*args):
         out = _axis_rules(*args)
-        calls.append(out)
+        calls.append([a.copy() for a in out])   # _zu_value scales weights
         return out
 
     monkeypatch.setattr(qgravity, "_axis_rules", recording)
@@ -511,24 +514,65 @@ def test_zu_segments_match_reference(monkeypatch, G, margin):
     v_nodes, v_wts = _ref_axis_nodes(-u + dv, u / 2 - dv, u / 2, dv, order)
     assert len(calls) == 1 + len(v_nodes) // order   # the v axis, the panels
     _assert_rules_equal(calls[0][:2], (v_nodes, v_wts))
-    totals = []
+    rows = []
     for p, call in enumerate(calls[1:]):
-        segments = []
-        for v, wv in zip(v_nodes[p * order:(p + 1) * order],
-                         v_wts[p * order:(p + 1) * order]):
+        panel = slice(p * order, (p + 1) * order)
+        segments, seg_v = [], []
+        for v, wv in zip(v_nodes[panel], v_wts[panel]):
             w_hi = (u + v) * (1.0 - margin)
             kink = 3 * abs(v)
             cuts = [0.0, kink, w_hi] if 0.0 < kink < w_hi else [0.0, w_hi]
-            inner = 0.0
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 w_top = margin * (u + v) if hi == w_hi else (hi - lo) / 4
                 segments.append((lo, hi, (hi - lo) / 4, w_top))
-                w_nodes, w_wts = _ref_axis_nodes(*segments[-1], order)
-                inner += float(np.dot(
-                    w_wts, partial_zu_integrand(u, v, w_nodes, G)))
+                seg_v.append((v, wv))
+        w_nodes, w_wts, counts = _ref_rules(segments, order)
+        # one row per v node; its empty [0, 0] interval has no panels
+        _assert_rules_equal((call[0], call[1], call[2][call[2] > 0]),
+                            (w_nodes, w_wts, counts))
+        v, wv = np.repeat(np.array(seg_v).T, counts, axis=1)
+        rows.append(float(np.sum(
+            wv * w_wts * partial_zu_integrand(u, v, w_nodes, G))))
+    assert value == 4.0 * math.fsum(rows)
+
+
+def _ref_zu_value(u, G, n, margin):
+    """The per-v, per-segment loop that the row layout replaced."""
+    order = _panel_order(n)
+    dv = margin * 1.5 * u
+    v_nodes, v_wts, _ = _axis_rules(-u + dv, u / 2 - dv, u / 2, dv, order)
+    totals = []
+    for j in range(0, len(v_nodes), order):
+        vs, wvs = v_nodes[j:j + order], v_wts[j:j + order]
+        w_hi = (u + vs) * (1.0 - margin)
+        kink = 3 * np.abs(vs)
+        split = (0.0 < kink) & (kink < w_hi)
+        segs = np.column_stack([split, np.ones_like(split)])
+        lo = np.column_stack([np.zeros_like(vs),
+                              np.where(split, kink, 0.0)])[segs]
+        hi = np.column_stack([kink, w_hi])[segs]
+        top = np.column_stack([kink / 4, margin * (u + vs)])[segs]
+        nodes, wts, counts = _axis_rules(lo, hi, (hi - lo) / 4, top, order)
+        ends = np.cumsum(counts)[:-1]
+        rules = zip(np.split(wts, ends), np.split(nodes, ends))
+        for v, wv, k in zip(vs, wvs, 1 + split):
+            inner = 0.0
+            for w_wts, w_nodes in itertools.islice(rules, k):
+                inner += float(np.dot(w_wts,
+                                      partial_zu_integrand(u, v, w_nodes, G)))
             totals.append(wv * inner)
-        _assert_rules_equal(call, _ref_rules(segments, order))
-    assert value == 4.0 * math.fsum(totals)
+    return 4.0 * math.fsum(totals)
+
+
+@pytest.mark.parametrize("u, G, margin, resolutions", [
+    *[(2.0, G, margin, (16, 32, 64)) for G in (4.0, 1.0, 0.25)
+      for margin in (1e-4, 1e-2)],
+    (100.0, 1.0, 1e-4, (32,)),     # the tiny value, about 1.2e-17
+])
+def test_zu_rows_match_reference_loop(u, G, margin, resolutions):
+    for n in resolutions:
+        assert math.isclose(_zu_value(u, G, n, margin),
+                            _ref_zu_value(u, G, n, margin), rel_tol=1e-14)
 
 
 # -- the sector kernel against the lambda-coordinate one it replaced ---------
@@ -624,8 +668,8 @@ def test_moment_set_golden_bits():
 
 
 @pytest.mark.parametrize("G, value, error", [
-    (4.0, "0x1.17524419553c1p+13", "0x1.3f4b260b404dcp+12"),
-    (1.0, "0x1.2ce1bb2132eadp+1", "0x1.0dd100288a500p-7"),
+    (4.0, "0x1.17524419553c0p+13", "0x1.3f4b260b404dap+12"),
+    (1.0, "0x1.2ce1bb2132eacp+1", "0x1.0dd100288a400p-7"),
 ])
 def test_partial_zu_golden_bits(G, value, error):
     z = partial_Zu(2.0, G, resolution=32)
