@@ -228,11 +228,10 @@ def cmd_qg_sweep(args):
         raise UsageError("steps must be at least 1")
     if args.Lmax < args.Lmin:
         raise UsageError("Lmax must not be smaller than Lmin")
-    if args.steps == 1:
-        l_values = [args.Lmax]
-    else:
-        h = (args.Lmax - args.Lmin) / (args.steps - 1)
-        l_values = [args.Lmin + i * h for i in range(args.steps)]
+    # the last cutoff is Lmax itself, not Lmin plus a rounded multiple of h
+    h = (args.Lmax - args.Lmin) / max(args.steps - 1, 1)
+    l_values = [args.Lmin + i * h for i in range(args.steps - 1)]
+    l_values.append(args.Lmax)
     try:
         cfg = QGConfig(G=args.G, eps=args.eps, L=args.Lmax,
                        resolution=args.resolution)

@@ -14,12 +14,12 @@ coordinates, and importance-sampled Monte Carlo over matrix entries.
 The (u, v, w) change of variables diagonalizes Q to -3u^2 + 12v^2 + 4w^2
 and yields the fluctuation integral Z_u at fixed mean eigenvalue u.
 
-Each formula is written once: ``_log_weight`` is the eigenvalue weight
-(``log_eigen_weight`` and the quadrature kernel call it), ``_quad_sym``
-is Q, ``partial_zu_integrand`` is the Z_u integrand, and ``action_matrix``
-is ``geometry.scalar_closed_form``.  The Monte Carlo oracle keeps its own
-matrix-coordinate log-weight so that it stays an independent check of
-the quadrature.
+Each formula is written once: ``_quad`` is Q (``quad_form``,
+``log_eigen_weight`` and the quadrature kernel call it), ``_log_weight``
+the eigenvalue weight, ``partial_zu_integrand`` the Z_u integrand and
+``action_matrix`` ``geometry.scalar_closed_form``.  The Monte Carlo oracle
+keeps its own matrix-coordinate log-weight so that it stays an
+independent check of the quadrature.
 """
 
 from __future__ import annotations
@@ -101,20 +101,20 @@ class PartialZu:
 # -- pointwise quantities ---------------------------------------------------
 
 
-def _quad_sym(s, e2):
-    """Q in the eigenvalue sum s and the pairwise-product sum e2."""
-    return s * s - 4 * e2
+def _quad(l1, s23, d23):
+    """Q = l1 (l1 - 2 s23) + d23^2; s23 = lam2 + lam3, d23 = lam3 - lam2."""
+    return l1 * (l1 - 2 * s23) + d23 * d23
 
 
 def quad_form(l1, l2, l3):
     """Q = sum of squares minus twice the sum of pairwise products."""
-    return _quad_sym(l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3)
+    return _quad(l1, l2 + l3, l3 - l2)
 
 
-def _log_weight(log_vdm, log_measure, s, e2, G):
+def _log_weight(log_vdm, log_measure, q, G):
     """log |Delta| - log_measure - Q / 2G; log_measure is 2 sum log lam, or
     sum mu for the weight times the Jacobian lam1 lam2 lam3 of lam = e^mu."""
-    return log_vdm - log_measure - _quad_sym(s, e2) / (2.0 * G)
+    return log_vdm - log_measure - q / (2.0 * G)
 
 
 def log_eigen_weight(l1, l2, l3, G):
@@ -129,7 +129,7 @@ def log_eigen_weight(l1, l2, l3, G):
             + np.log(np.abs(l2 - l3)),
             2.0 * (np.log(np.abs(l1)) + np.log(np.abs(l2))
                    + np.log(np.abs(l3))),
-            l1 + l2 + l3, l1 * l2 + l1 * l3 + l2 * l3, G)
+            quad_form(l1, l2, l3), G)
 
 
 def eigen_weight(l1, l2, l3, G):
@@ -214,11 +214,6 @@ def _spec_exponents(spec):
     return tuple(map(spec.count, (1, 2, 3)))
 
 
-# sums over the distinct permutations of exponent triples of degree 1, 2
-_SYM_CLOSED = {(1, 0, 0): lambda s, e2: s, (1, 1, 0): lambda s, e2: e2,
-               (2, 0, 0): lambda s, e2: s * s - 2.0 * e2}
-
-
 def _ordered_sector_sums(G, eps, L, n, exps_list):
     """Integrals of the weight times symmetrized monomials over the
     ordered sector eps <= lam1 <= lam2 <= lam3 <= L.
@@ -227,46 +222,52 @@ def _ordered_sector_sums(G, eps, L, n, exps_list):
     leaves the measure exp(-sum mu).  Panels are graded toward both ends
     of every axis: toward the peak near lam = L (log-width about G/L^2)
     and the mass pinned near eps.  Each lam3 node is one row of (lam2,
-    lam1) nodes from one ``_axis_rules`` call, summed under its own peak
-    shift (no overflow at any L^2/G); rows combine relative to the largest
-    shift in fixed order.  Degree 1 and 2 monomials are ``_SYM_CLOSED``.
-    Returns (S0, [S_e...]) up to a common exp(shift), which cancels in all
-    moment ratios.
+    lam1) nodes, summed under its own peak shift (no overflow at any
+    L^2/G); rows combine relative to the largest shift in fixed order.
+    Terms without lam1 are computed once per lam2 node.  A monomial (S0's
+    is (0, 0, 0)) is the mean over its permutations of lam3^p3
+    einsum(lam2^p2, B_p1), B_p the per-lam2 sums of weight * lam1^p.
+    Returns (S0, [S_e...]) up to a common exp(shift), which cancels.
     """
     a, b = math.log(eps), math.log(L)
     w_top = max(G / (2.0 * L * L), 1e-7)
     order = _panel_order(n)
-    plan = [(_SYM_CLOSED.get(tuple(sorted(e, reverse=True))),
-             sorted(set(itertools.permutations(e)))) for e in exps_list]
-    needed = {k for closed, perms in plan if not closed
-              for p in perms for k in enumerate(p)}
+    terms = [sorted(set(itertools.permutations(e)))
+             for e in [(0, 0, 0), *exps_list]]
     mu3, w3, _ = _axis_rules(a, b, 1.0, w_top, order)
-    shifts, rows = [], []
-    for m3, wt3 in zip(mu3, w3):
-        mu2, w2, _ = _axis_rules(a, m3, 1.0, w_top, order)
-        mu1, w1, counts = _axis_rules(a, mu2, 1.0, w_top, order)
+    mu2s, w2s, counts2 = _axis_rules(a, mu3, 1.0, w_top, order)
+    cuts = np.cumsum(counts2)[:-1]
+    rows = []
+    for m3, wt3, mu2, w2 in zip(mu3, w3, np.split(mu2s, cuts),
+                                np.split(w2s, cuts)):
         l2, l3 = np.exp(mu2), math.exp(m3)
-        # per lam2 node: mu2 + mu3 - log(lam3 - lam2) - log w2, in log_measure
-        own2 = (mu2 + m3) - np.log(l3 - l2) - np.log(w2)
-        l1, l2 = np.exp(mu1), np.repeat(l2, counts)
-        s, e2 = l1 + (l2 + l3), l1 * (l2 + l3) + l2 * l3
-        logf = _log_weight(np.log(l2 - l1) + np.log(l3 - l1),
-                           mu1 + np.repeat(own2, counts), s, e2, G)
+        s23 = l2 + l3
+        own2 = _log_weight(np.log(l3 - l2), mu2 + m3,
+                           _quad(0.0, s23, l3 - l2), G) + np.log(w2)
+        mu1, w1, counts = _axis_rules(a, mu2, 1.0, w_top, order)
+        assert counts.all()  # reduceat gives x[start] for an empty segment
+        # in place, and q1 kept to the next row: a fresh row-sized array
+        # may be faulted in again.  Two logs, as (lam2 - lam1)(lam3 - lam1)
+        # underflows at eps < ~1e-154
+        l1 = np.exp(mu1)
+        logf = np.log(np.repeat(l2, counts) - l1) + np.log(l3 - l1)
+        logf += np.repeat(own2, counts) - mu1
+        q1 = _quad(l1, np.repeat(s23, counts), 0.0) / (2.0 * G)
+        logf -= q1
         shift = float(np.max(logf))
-        base = w1 * np.exp(logf - shift)
-        pw = {k: (l1, l2, l3)[k[0]] ** k[1] for k in needed}
-        sums = [float(np.sum(base))]
-        for closed, perms in plan:
-            mono = closed(s, e2) if closed else sum(
-                math.prod(pw[k] for k in enumerate(p)) for p in perms)
-            # einsum, not a BLAS dot, which splits a long row by thread count
-            sums.append(float(np.einsum("i,i", base, mono)) / len(perms))
-        shifts.append(shift)
-        rows.append([wt3 * x for x in sums])
-    top = max(shifts)
-    scales = [math.exp(s - top) for s in shifts]
-    totals = [math.fsum(f * sums[i] for f, sums in zip(scales, rows))
-              for i in range(len(plan) + 1)]
+        logf -= shift
+        base = np.exp(logf, out=logf)
+        base *= w1
+        starts = np.cumsum(counts) - counts
+        seg = {p: np.add.reduceat(base * l1 ** p if p else base, starts)
+               for p in {perm[0] for perms in terms for perm in perms}}
+        # einsum, not a BLAS dot, which splits a long row by thread count
+        sums = [sum(l3 ** p3 * float(np.einsum("i,i", l2 ** p2, seg[p1]))
+                    for p1, p2, p3 in perms) / len(perms) for perms in terms]
+        rows.append((shift, [wt3 * x for x in sums]))
+    top = max(shift for shift, _ in rows)
+    totals = [math.fsum(math.exp(shift - top) * sums[i]
+                        for shift, sums in rows) for i in range(len(terms))]
     return totals[0], totals[1:]
 
 

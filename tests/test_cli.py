@@ -264,6 +264,18 @@ def test_qg_sweep_json(capsys):
     assert "eps_stability" in doc
 
 
+def test_qg_sweep_last_cutoff_is_lmax(capsys):
+    # Lmin + 9 h rounds to 2.9999999999999996 here
+    rc, out, err = run_cli(capsys, "qg-sweep", "--Lmin", "0.1", "--Lmax", "3",
+                           "--steps", "10", "--resolution", "16",
+                           "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    ls = [row["L"] for row in doc["rows"]]
+    assert len(ls) == 10 and ls[0] == 0.1
+    assert ls[-1] == doc["eps_stability"]["L"] == 3.0
+
+
 def test_qg_sweep_rejects_text_format():
     with pytest.raises(SystemExit) as exc:
         main(["qg-sweep", "--Lmin", "2", "--Lmax", "3", "--steps", "2",

@@ -148,21 +148,22 @@ def test_moment_spec_validation():
 def test_ordered_sector_rows_match_node_loop():
     # reference: one node at a time, unshifted weights, plain Python sums
     G, eps, L, n = 1.0, 0.1, 3.0, 16
-    exps_list = [(1, 0, 0), (1, 1, 0)]
+    exps_list = [(1, 0, 0), (1, 1, 0), (1, 1, 1), (1, -1, -1)]
+    terms = [sorted(set(itertools.permutations(e))) for e in exps_list]
     s0, nums = _ordered_sector_sums(G, eps, L, n, exps_list)
     a, w_top, order = math.log(eps), G / (2.0 * L * L), _panel_order(n)
-    ref = [0.0, 0.0, 0.0]
+    ref = [0.0] * (1 + len(terms))
     for m3, wt3 in zip(*_axis_rules(a, math.log(L), 1.0, w_top, order)[:2]):
         for m2, wt2 in zip(*_axis_rules(a, m3, 1.0, w_top, order)[:2]):
             for m1, wt1 in zip(*_axis_rules(a, m2, 1.0, w_top, order)[:2]):
                 lam = (math.exp(m1), math.exp(m2), math.exp(m3))
                 f = wt3 * wt2 * wt1 * eigen_weight(*lam, G) * math.prod(lam)
                 ref[0] += f
-                ref[1] += f * sum(lam) / 3
-                ref[2] += f * (lam[0] * lam[1] + lam[0] * lam[2]
-                               + lam[1] * lam[2]) / 3
-    for num, want in zip(nums, ref[1:]):
-        assert math.isclose(num / s0, want / ref[0], rel_tol=1e-12)
+                for i, perms in enumerate(terms, 1):
+                    ref[i] += f * sum(math.prod(map(pow, lam, p))
+                                      for p in perms) / len(perms)
+    for exps, num, want in zip(exps_list, nums, ref[1:]):
+        assert math.isclose(num / s0, want / ref[0], rel_tol=1e-12), exps
 
 
 def test_moments_permutation_symmetric():
@@ -211,6 +212,14 @@ def test_moments_resolution_doubling_stable():
 
 def test_moments_plausible_range():
     cfg = QGConfig(**FAST)
+    m1 = moments(cfg, (1,))
+    assert cfg.eps < m1.value < cfg.L
+
+
+def test_moments_finite_where_the_gap_product_underflows():
+    # (lam2 - lam1)(lam3 - lam1) underflows near eps = 1e-200, so the
+    # kernel adds the two logs; their product's log raised ValueError here
+    cfg = QGConfig(G=REGIME["G"], eps=1e-200, L=REGIME["L"], resolution=16)
     m1 = moments(cfg, (1,))
     assert cfg.eps < m1.value < cfg.L
 
@@ -487,6 +496,13 @@ def test_axis_rules_match_reference_on_every_sector_row(G, eps, L, n):
     w_top, order = max(G / (2.0 * L * L), 1e-7), _panel_order(n)
     mu3, w3 = _ref_axis_nodes(a, b, 1.0, w_top, order)
     _assert_rules_equal(_axis_rules(a, b, 1.0, w_top, order)[:2], (mu3, w3))
+    # the kernel builds every row's lam2 rule in one call, split by counts
+    mu2s, w2s, counts = _axis_rules(a, mu3, 1.0, w_top, order)
+    cuts = np.cumsum(counts)[:-1]
+    assert len(counts) == len(mu3)
+    for m3, mu2, w2 in zip(mu3, np.split(mu2s, cuts), np.split(w2s, cuts)):
+        _assert_rules_equal((mu2, w2), _ref_axis_nodes(a, m3, 1.0, w_top,
+                                                       order))
     for m3 in mu3:
         mu2, w2 = _ref_axis_nodes(a, m3, 1.0, w_top, order)
         _assert_rules_equal(_axis_rules(a, m3, 1.0, w_top, order)[:2],
@@ -617,7 +633,7 @@ def _ref_sector_sums(G, eps, L, n, exps_list):
     return totals[0], totals[1:]
 
 
-# every spec of degree <= 3: the closed forms and the generic path
+# every spec of degree <= 3
 SPECS_TO_DEGREE_3 = [spec for k in range(4) for spec in
                      itertools.combinations_with_replacement((1, 2, 3), k)]
 FROZEN = tuple(REGIME.values())
@@ -640,6 +656,47 @@ def test_sector_sums_match_reference_kernel(G, eps, L, n):
         assert math.isclose(num / s0, ref / r0, rel_tol=1e-14), exps
 
 
+def _longdouble_sector_moments(G, eps, L, n, exps_list):
+    """Moments over the kernel's nodes in np.longdouble: the weight as
+    |Delta| / (lam1 lam2 lam3) exp(-Q / 2G), with Q the sum of squares
+    minus twice the pairwise products, and no shifts."""
+    ld = np.longdouble
+    a, b = math.log(eps), math.log(L)
+    w_top, order = max(G / (2.0 * L * L), 1e-7), _panel_order(n)
+    terms = [sorted(set(itertools.permutations(e))) for e in exps_list]
+    sums = [ld(0)] * (1 + len(terms))
+    for m3, wt3 in zip(*_axis_rules(a, b, 1.0, w_top, order)[:2]):
+        mu2, w2, _ = _axis_rules(a, m3, 1.0, w_top, order)
+        mu1, w1, counts = _axis_rules(a, mu2, 1.0, w_top, order)
+        lam = (np.exp(mu1.astype(ld)),
+               np.repeat(np.exp(mu2.astype(ld)), counts), np.exp(ld(m3)))
+        l1, l2, l3 = lam
+        q = l1 * l1 + l2 * l2 + l3 * l3 - 2 * (l1 * l2 + l1 * l3 + l2 * l3)
+        f = (ld(wt3) * np.repeat(w2, counts).astype(ld) * w1.astype(ld)
+             * (l2 - l1) * (l3 - l1) * (l3 - l2) / (l1 * l2 * l3)
+             * np.exp(-q / (2 * ld(G))))
+        sums[0] += np.sum(f)
+        pw = {(k, e): lam[k] ** e for k, e in
+              {(k, p[k]) for perms in terms for p in perms for k in range(3)}}
+        for i, perms in enumerate(terms, 1):
+            sums[i] += np.sum(f * sum(pw[0, p1] * pw[1, p2] * pw[2, p3]
+                                      for p1, p2, p3 in perms)) / len(perms)
+    return [x / sums[0] for x in sums[1:]]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                    reason="np.longdouble is no wider than a double here")
+@pytest.mark.parametrize("G, eps, L, n", [
+    (*FROZEN, 16), (*FROZEN, 24), (1.0, 0.1, 3.0, 16)])
+def test_sector_sums_match_extended_precision(G, eps, L, n):
+    exps_list = [qgravity._spec_exponents(s)
+                 for s in [(1,), (1, 1), (1, 2), (1, 2, 3)]] + [(1, -1, -1)]
+    s0, nums = _ordered_sector_sums(G, eps, L, n, exps_list)
+    refs = _longdouble_sector_moments(G, eps, L, n, exps_list)
+    for exps, num, ref in zip(exps_list, nums, refs):
+        assert abs(np.longdouble(num / s0) - ref) <= 1e-14 * ref, exps
+
+
 # -- quadrature values pinned bit for bit ------------------------------------
 
 
@@ -648,14 +705,14 @@ def test_sector_sums_match_reference_kernel(G, eps, L, n):
 # (NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" selects AVX2).
 GOLDEN_MOMENT_BITS = {
     "avx512": {
-        (1,): ("0x1.6aaf4e0fbe1d3p+0", "0x1.db46ad9a70000p-15"),
-        (1, 2): ("0x1.562c4c506b9b2p+3", "0x1.183a187410000p-11"),
-        (1, 1): ("0x1.66cf4f2d4e41fp+3", "0x1.4ff0e81604000p-11"),
+        (1,): ("0x1.6aaf4e0fbe1c5p+0", "0x1.db46ad9b08000p-15"),
+        (1, 2): ("0x1.562c4c506b99bp+3", "0x1.183a187484000p-11"),
+        (1, 1): ("0x1.66cf4f2d4e406p+3", "0x1.4ff0e81678000p-11"),
     },
     "avx2": {
-        (1,): ("0x1.6aaf4e0fbe1cep+0", "0x1.db46ad9aa0000p-15"),
-        (1, 2): ("0x1.562c4c506b9adp+3", "0x1.183a18742c000p-11"),
-        (1, 1): ("0x1.66cf4f2d4e419p+3", "0x1.4ff0e81620000p-11"),
+        (1,): ("0x1.6aaf4e0fbe1c6p+0", "0x1.db46ad9b18000p-15"),
+        (1, 2): ("0x1.562c4c506b99ep+3", "0x1.183a187484000p-11"),
+        (1, 1): ("0x1.66cf4f2d4e40ap+3", "0x1.4ff0e81674000p-11"),
     },
 }
 
