@@ -465,6 +465,8 @@ def partial_Zu(u, G, resolution=64, margin=1e-4):
 # -- sweeps ------------------------------------------------------------------
 
 _RATIO_SPECS = ((1,), (1, 2), (1, 1))
+_SWEEP_COLUMNS = ("L", "G", "eps", "moment_spec", "estimate", "error",
+                  "ratio_16over3", "uncertainty")
 
 
 @dataclass(frozen=True)
@@ -484,16 +486,13 @@ class SweepResult:
         import io
         buf = io.StringIO()
         buf.write("# schema=%s\n" % self.schema)
-        buf.write("# eps_stability: L=%(L)r eps=%(eps)r eps_half=%(eps_half)r"
-                  " mean_lambda=%(mean_lambda)r mean_lambda_half="
-                  "%(mean_lambda_half)r rel_change=%(rel_change)r\n"
-                  % self.eps_report)
+        buf.write("# eps_stability: %s\n" % " ".join(
+            "%s=%r" % item for item in self.eps_report.items()))
         wr = csv.writer(buf, lineterminator="\n")
-        cols = ("L", "G", "eps", "moment_spec", "estimate", "error",
-                "ratio_16over3", "uncertainty")
-        wr.writerow(cols)
+        wr.writerow(_SWEEP_COLUMNS)
         for row in self.rows:
-            wr.writerow([("" if row[c] is None else row[c]) for c in cols])
+            wr.writerow(["" if row[c] is None else row[c]
+                         for c in _SWEEP_COLUMNS])
         return buf.getvalue()
 
     def to_json(self):
@@ -514,6 +513,8 @@ def sweep(cfg, L_values, specs=((1,),)):
     the difference (a variance that cancels to 0 is not measured).  Output
     is byte deterministic for a fixed config.
     """
+    if len(L_values) == 0:
+        raise ValueError("sweep needs at least one cutoff L")
     specs = [tuple(s) for s in specs]
     wanted = list(dict.fromkeys(list(_RATIO_SPECS) + specs))
     l_max = float(max(L_values))
@@ -533,12 +534,9 @@ def sweep(cfg, L_values, specs=((1,),)):
                 unc = math.sqrt(var) / m1.value
         for spec in specs:
             e = est[spec]
-            rows.append({
-                "L": float(L), "G": cfg.G, "eps": cfg.eps,
-                "moment_spec": ",".join(map(str, spec)),
-                "estimate": e.value, "error": e.error,
-                "ratio_16over3": ratio, "uncertainty": unc,
-            })
+            rows.append(dict(zip(_SWEEP_COLUMNS, (
+                float(L), cfg.G, cfg.eps, ",".join(map(str, spec)),
+                e.value, e.error, ratio, unc))))
     vh = moments(replace(cfg, eps=cfg.eps / 2.0, L=l_max), (1,)).value
     report = {
         "L": l_max, "eps": cfg.eps, "eps_half": cfg.eps / 2.0,

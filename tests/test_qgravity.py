@@ -15,8 +15,8 @@ from fuzzyqrg.geometry import curvature, qlc
 from fuzzyqrg.qgravity import (
     QGConfig, action_matrix, eigen_weight, quad_form, uvw_map, uvw_inverse,
     quad_form_uvw, moments, moment_set, mc_matrix_oracle,
-    partial_zu_integrand, partial_Zu, sweep, SWEEP_SCHEMA, _axis_rules,
-    _ordered_sector_sums, _panel_order, _ref_panel, _zu_value)
+    partial_zu_integrand, partial_Zu, sweep, SweepResult, SWEEP_SCHEMA,
+    _axis_rules, _ordered_sector_sums, _panel_order, _ref_panel, _zu_value)
 
 FAST = dict(G=1.0, eps=0.1, L=3.0, resolution=32, samples=20_000, seed=5)
 # the frozen deep-cutoff point of the acceptance suite and the README
@@ -371,12 +371,8 @@ def test_sweep_csv_schema_and_determinism():
     text = res.to_csv()
     again = sweep(cfg, [2.0, 3.0], specs=[(1,), (1, 2)]).to_csv()
     assert text == again
-    lines = text.splitlines()
-    assert lines[0] == "# schema=" + SWEEP_SCHEMA
-    assert lines[1].startswith("# eps_stability:")
-    assert lines[2] == ("L,G,eps,moment_spec,estimate,error,"
-                        "ratio_16over3,uncertainty")
-    assert len(lines) == 3 + 4  # two L values times two specs
+    # the header lines, then two L values times two specs
+    assert len(text.splitlines()) == 3 + 4
 
 
 def test_sweep_json_round_trip():
@@ -392,6 +388,34 @@ def test_sweep_json_round_trip():
     assert row["uncertainty"] >= 0
     assert doc["eps_stability"]["eps_half"] == pytest.approx(0.05)
     assert doc["eps_stability"]["rel_change"] >= 0
+
+
+def test_sweep_result_text_is_pinned():
+    row = dict(L=2.0, G=1.0, eps=0.1, moment_spec="1,2", estimate=1 / 3,
+               error=2.5e-17, ratio_16over3=1.1, uncertainty=None)
+    report = dict(L=2.0, eps=0.1, eps_half=0.05, mean_lambda=1 / 3,
+                  mean_lambda_half=0.3, rel_change=0.1)
+    res = SweepResult(SWEEP_SCHEMA, (row,), report)
+    assert res.to_csv() == (
+        "# schema=fuzzyqrg.sweep.v1\n# eps_stability: L=2.0 eps=0.1"
+        " eps_half=0.05 mean_lambda=0.3333333333333333 mean_lambda_half=0.3"
+        " rel_change=0.1\n"
+        "L,G,eps,moment_spec,estimate,error,ratio_16over3,uncertainty\n"
+        '2.0,1.0,0.1,"1,2",0.3333333333333333,2.5e-17,1.1,\n')
+    assert res.to_json() == (
+        '{\n  "schema": "fuzzyqrg.sweep.v1",\n  "rows": [\n    {\n'
+        '      "L": 2.0,\n      "G": 1.0,\n      "eps": 0.1,\n'
+        '      "moment_spec": "1,2",\n'
+        '      "estimate": 0.3333333333333333,\n      "error": 2.5e-17,\n'
+        '      "ratio_16over3": 1.1,\n      "uncertainty": null\n    }\n'
+        '  ],\n  "eps_stability": {\n    "L": 2.0,\n    "eps": 0.1,\n'
+        '    "eps_half": 0.05,\n    "mean_lambda": 0.3333333333333333,\n'
+        '    "mean_lambda_half": 0.3,\n    "rel_change": 0.1\n  }\n}\n')
+
+
+def test_sweep_rejects_an_empty_cutoff_list():
+    with pytest.raises(ValueError, match="at least one cutoff L"):
+        sweep(QGConfig(G=1.0, eps=0.1, L=3.0, resolution=16), [])
 
 
 def test_sweep_rows_match_direct_moments():
@@ -496,27 +520,18 @@ def test_axis_rules_match_reference_on_every_sector_row(G, eps, L, n):
     w_top, order = max(G / (2.0 * L * L), 1e-7), _panel_order(n)
     mu3, w3 = _ref_axis_nodes(a, b, 1.0, w_top, order)
     _assert_rules_equal(_axis_rules(a, b, 1.0, w_top, order)[:2], (mu3, w3))
-    # the kernel builds every row's lam2 rule in one call, split by counts
-    mu2s, w2s, counts = _axis_rules(a, mu3, 1.0, w_top, order)
-    cuts = np.cumsum(counts)[:-1]
-    assert len(counts) == len(mu3)
-    for m3, mu2, w2 in zip(mu3, np.split(mu2s, cuts), np.split(w2s, cuts)):
-        _assert_rules_equal((mu2, w2), _ref_axis_nodes(a, m3, 1.0, w_top,
-                                                       order))
-    for m3 in mu3:
-        mu2, w2 = _ref_axis_nodes(a, m3, 1.0, w_top, order)
-        _assert_rules_equal(_axis_rules(a, m3, 1.0, w_top, order)[:2],
-                            (mu2, w2))
+    # the kernel makes one call for the lam2 rules of all rows, and one per
+    # row for its lam1 rules
+    rows = [_ref_axis_nodes(a, m3, 1.0, w_top, order)[0] for m3 in mu3]
+    for ends in [mu3, *rows]:
         _assert_rules_equal(
-            _axis_rules(a, mu2, 1.0, w_top, order),
-            _ref_rules([(a, m2, 1.0, w_top) for m2 in mu2], order))
+            _axis_rules(a, ends, 1.0, w_top, order),
+            _ref_rules([(a, e, 1.0, w_top) for e in ends], order))
 
 
-@pytest.mark.parametrize("G", [4.0, 0.25])
+@pytest.mark.parametrize("G", [4.0, 1.0, 0.25])
 @pytest.mark.parametrize("margin", [1e-4, 1e-2])
 def test_zu_segments_match_reference(monkeypatch, G, margin):
-    u, n = 2.0, 32
-    order = _panel_order(n)
     calls = []
 
     def recording(*args):
@@ -525,70 +540,34 @@ def test_zu_segments_match_reference(monkeypatch, G, margin):
         return out
 
     monkeypatch.setattr(qgravity, "_axis_rules", recording)
-    value = _zu_value(u, G, n, margin)
-    dv = margin * 1.5 * u
-    v_nodes, v_wts = _ref_axis_nodes(-u + dv, u / 2 - dv, u / 2, dv, order)
-    assert len(calls) == 1 + len(v_nodes) // order   # the v axis, the panels
-    _assert_rules_equal(calls[0][:2], (v_nodes, v_wts))
-    rows = []
-    for p, call in enumerate(calls[1:]):
-        panel = slice(p * order, (p + 1) * order)
-        segments, seg_v = [], []
-        for v, wv in zip(v_nodes[panel], v_wts[panel]):
-            w_hi = (u + v) * (1.0 - margin)
-            kink = 3 * abs(v)
-            cuts = [0.0, kink, w_hi] if 0.0 < kink < w_hi else [0.0, w_hi]
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                w_top = margin * (u + v) if hi == w_hi else (hi - lo) / 4
-                segments.append((lo, hi, (hi - lo) / 4, w_top))
-                seg_v.append((v, wv))
-        w_nodes, w_wts, counts = _ref_rules(segments, order)
-        # one row per v node; its empty [0, 0] interval has no panels
-        _assert_rules_equal((call[0], call[1], call[2][call[2] > 0]),
-                            (w_nodes, w_wts, counts))
-        v, wv = np.repeat(np.array(seg_v).T, counts, axis=1)
-        rows.append(float(np.sum(
-            wv * w_wts * partial_zu_integrand(u, v, w_nodes, G))))
-    assert value == 4.0 * math.fsum(rows)
-
-
-def _ref_zu_value(u, G, n, margin):
-    """The per-v, per-segment loop that the row layout replaced."""
-    order = _panel_order(n)
-    dv = margin * 1.5 * u
-    v_nodes, v_wts, _ = _axis_rules(-u + dv, u / 2 - dv, u / 2, dv, order)
-    totals = []
-    for j in range(0, len(v_nodes), order):
-        vs, wvs = v_nodes[j:j + order], v_wts[j:j + order]
-        w_hi = (u + vs) * (1.0 - margin)
-        kink = 3 * np.abs(vs)
-        split = (0.0 < kink) & (kink < w_hi)
-        segs = np.column_stack([split, np.ones_like(split)])
-        lo = np.column_stack([np.zeros_like(vs),
-                              np.where(split, kink, 0.0)])[segs]
-        hi = np.column_stack([kink, w_hi])[segs]
-        top = np.column_stack([kink / 4, margin * (u + vs)])[segs]
-        nodes, wts, counts = _axis_rules(lo, hi, (hi - lo) / 4, top, order)
-        ends = np.cumsum(counts)[:-1]
-        rules = zip(np.split(wts, ends), np.split(nodes, ends))
-        for v, wv, k in zip(vs, wvs, 1 + split):
-            inner = 0.0
-            for w_wts, w_nodes in itertools.islice(rules, k):
-                inner += float(np.dot(w_wts,
-                                      partial_zu_integrand(u, v, w_nodes, G)))
-            totals.append(wv * inner)
-    return 4.0 * math.fsum(totals)
-
-
-@pytest.mark.parametrize("u, G, margin, resolutions", [
-    *[(2.0, G, margin, (16, 32, 64)) for G in (4.0, 1.0, 0.25)
-      for margin in (1e-4, 1e-2)],
-    (100.0, 1.0, 1e-4, (32,)),     # the tiny value, about 1.2e-17
-])
-def test_zu_rows_match_reference_loop(u, G, margin, resolutions):
-    for n in resolutions:
-        assert math.isclose(_zu_value(u, G, n, margin),
-                            _ref_zu_value(u, G, n, margin), rel_tol=1e-14)
+    # u = 100 gives a tiny value, about 1.2e-17 at G = 1
+    for u, n in [(2.0, 16), (2.0, 32), (2.0, 64), (100.0, 32)]:
+        calls.clear()
+        value = _zu_value(u, G, n, margin)
+        order, dv = _panel_order(n), margin * 1.5 * u
+        v_nodes, v_wts = _ref_axis_nodes(-u + dv, u / 2 - dv, u / 2, dv,
+                                         order)
+        assert len(calls) == 1 + len(v_nodes) // order   # v axis, panels
+        _assert_rules_equal(calls[0][:2], (v_nodes, v_wts))
+        rows = []
+        for p, call in enumerate(calls[1:]):
+            panel = slice(p * order, (p + 1) * order)
+            segments, seg_v = [], []
+            for v, wv in zip(v_nodes[panel], v_wts[panel]):
+                w_hi, kink = (u + v) * (1.0 - margin), 3 * abs(v)
+                cuts = [0.0, kink, w_hi] if 0 < kink < w_hi else [0.0, w_hi]
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    w_top = margin * (u + v) if hi == w_hi else (hi - lo) / 4
+                    segments.append((lo, hi, (hi - lo) / 4, w_top))
+                    seg_v.append((v, wv))
+            w_nodes, w_wts, counts = _ref_rules(segments, order)
+            # one row per v node; its empty [0, 0] interval has no panels
+            _assert_rules_equal((call[0], call[1], call[2][call[2] > 0]),
+                                (w_nodes, w_wts, counts))
+            v, wv = np.repeat(np.array(seg_v).T, counts, axis=1)
+            rows.append(float(np.sum(
+                wv * w_wts * partial_zu_integrand(u, v, w_nodes, G))))
+        assert value == 4.0 * math.fsum(rows), (u, n)
 
 
 # -- the sector kernel against the lambda-coordinate one it replaced ---------
