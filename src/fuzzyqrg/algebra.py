@@ -27,6 +27,7 @@ DEGREE_LIMIT = 24
 
 _TWO_I_LP = 2 * I * LP
 _SPHERE_CONST = ONE - LP * LP  # x1^2 + x2^2 + x3^2
+_UNIT = (0, 0, 0)  # the key of the monomial 1
 
 
 class DegreeLimitError(ValueError):
@@ -102,46 +103,65 @@ def _terms_times_mono(terms, mono):
     return items
 
 
+def _alg(terms):
+    """The AlgElem on ``terms`` as given, which must already be canonical."""
+    out = object.__new__(AlgElem)
+    out.terms = terms
+    return out
+
+
+def _scaled(terms, k):
+    """terms times the ParamScalar k (central, and without zero divisors)."""
+    return _alg({key: c * k for key, c in terms.items()} if k else {})
+
+
 class AlgElem:
-    """Element of the fuzzy sphere algebra in normal-ordered form."""
+    """Element of the fuzzy sphere algebra in normal-ordered form.
+
+    ``terms`` maps normal-ordered keys (a, b, c), c <= 1, to nonzero
+    ``ParamScalar`` coefficients.  Only the constructor validates (ValueError
+    for a key, ``ParamScalar.of``'s TypeError for a coefficient); results of
+    the operations are built by ``_alg`` from canonical terms.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if terms is None:
-            terms = {}
-        self.terms = {k: v for k, v in terms.items() if v}
+        self.terms = {}
+        for key, coeff in (terms or {}).items():
+            a, b, c = key
+            if min(a, b, c) < 0 or c > 1:
+                raise ValueError(f"not a normal-ordered monomial key: {key}")
+            if coeff := ParamScalar.of(coeff):
+                self.terms[a, b, c] = coeff
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def zero(cls):
-        return cls({})
+        return _alg({})
 
     @classmethod
     def one(cls):
-        return cls({(0, 0, 0): ONE})
+        return _alg({_UNIT: ONE})
 
     @classmethod
     def scalar(cls, c):
-        return cls({(0, 0, 0): ParamScalar.of(c)})
+        k = ParamScalar.of(c)
+        return _alg({_UNIT: k} if k else {})
 
     @classmethod
     def generator(cls, i):
         if i not in (1, 2, 3):
             raise ValueError(f"generator index must be 1, 2 or 3, got {i}")
-        key = tuple(1 if j == i else 0 for j in (1, 2, 3))
-        return cls({key: ONE})
+        return _alg({tuple(1 if j == i else 0 for j in (1, 2, 3)): ONE})
 
     @classmethod
     def monomial(cls, key, coeff=1):
-        a, b, c = key
-        if min(a, b, c) < 0 or c > 1:
-            raise ValueError(f"not a normal-ordered monomial key: {key}")
-        return cls({(a, b, c): ParamScalar.of(coeff)})
+        return cls({tuple(key): coeff})
 
     # -- structure ----------------------------------------------------------
     def degree(self):
-        return max((a + b + c for (a, b, c) in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def is_zero(self):
         return not self.terms
@@ -160,7 +180,7 @@ class AlgElem:
         out = dict(self.terms)
         for key, c in o.terms.items():
             _acc(out, key, c)
-        return AlgElem(out)
+        return _alg(out)
 
     __radd__ = __add__
 
@@ -171,7 +191,7 @@ class AlgElem:
         out = dict(self.terms)
         for key, c in o.terms.items():
             _acc(out, key, -c)
-        return AlgElem(out)
+        return _alg(out)
 
     def __rsub__(self, other):
         o = _coerce_alg(other)
@@ -180,33 +200,34 @@ class AlgElem:
         return o - self
 
     def __neg__(self):
-        return AlgElem({k: -v for k, v in self.terms.items()})
+        return _alg({k: -v for k, v in self.terms.items()})
 
     # -- multiplication -----------------------------------------------------
     def __mul__(self, other):
         if isinstance(other, AlgElem):
+            # a product by a constant (degree 0) needs no normal ordering
+            a, b = self.terms, other.terms
+            if len(a) == 1 and _UNIT in a and other.degree() <= DEGREE_LIMIT:
+                return _scaled(b, a[_UNIT])
+            if len(b) == 1 and _UNIT in b and self.degree() <= DEGREE_LIMIT:
+                return _scaled(a, b[_UNIT])
             if self.degree() + other.degree() > DEGREE_LIMIT:
                 raise DegreeLimitError(
                     f"product degree {self.degree()} + {other.degree()} "
                     f"exceeds limit {DEGREE_LIMIT}")
             out = {}
-            for mono, q in other.terms.items():
-                for key, c in _terms_times_mono(self.terms, mono):
+            for mono, q in b.items():
+                for key, c in _terms_times_mono(a, mono):
                     _acc(out, key, c * q)
-            return AlgElem(out)
+            return _alg(out)
         try:
             k = ParamScalar.of(other)
         except TypeError:
             return NotImplemented
-        return AlgElem({key: c * k for key, c in self.terms.items()})
+        return _scaled(self.terms, k)
 
-    def __rmul__(self, other):
-        # scalars commute with everything; AlgElem * AlgElem is handled above
-        try:
-            k = ParamScalar.of(other)
-        except TypeError:
-            return NotImplemented
-        return AlgElem({key: k * c for key, c in self.terms.items()})
+    # scalars commute with everything; AlgElem * AlgElem is handled above
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -227,7 +248,7 @@ class AlgElem:
                     items = _items_times_gen(items, g)
             for key, coeff in items:
                 _acc(out, key, coeff)
-        return AlgElem(out)
+        return _alg(out)
 
     # -- comparison / rendering ----------------------------------------------
     def __eq__(self, other):

@@ -77,14 +77,17 @@ def _coerce_coeff(c):
 class FormSum:
     """Linear structure shared by ``DiffForm`` and ``TensorForm``.
 
-    ``components`` maps basis keys to nonzero algebra coefficients.  A
-    subclass names its grade (``grade``), validates and normalises a key
-    (``_check_key``) and renders one (``_basis``).
+    ``grade`` is the degree (``DiffForm.degree``, ``TensorForm.left_degree``)
+    and ``components`` maps canonical basis keys to nonzero ``AlgElem``
+    coefficients.  A subclass checks a key (``_check_key``) and renders one
+    (``_basis``).  Only its constructor validates (``_fill``); results of the
+    operations are built by ``_of`` from canonical components.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("grade", "components")
 
-    def _fill(self, components):
+    def _fill(self, grade, components):
+        self.grade = grade
         comps = {}
         for key, coeff in (components or {}).items():
             key = self._check_key(key)
@@ -93,8 +96,12 @@ class FormSum:
                 comps[key] = coeff
         self.components = comps
 
-    def _like(self, components):
-        return type(self)(self.grade, components)
+    @classmethod
+    def _of(cls, grade, components):
+        """The form on ``components`` as given, which must be canonical."""
+        out = object.__new__(cls)
+        out.grade, out.components = grade, components
+        return out
 
     # -- structure ---------------------------------------------------------
     def is_zero(self):
@@ -113,7 +120,7 @@ class FormSum:
         out = dict(self.components)
         for key, c in other.components.items():
             _acc(out, key, c)
-        return self._like(out)
+        return self._of(self.grade, out)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -121,12 +128,14 @@ class FormSum:
         return self + (-other)
 
     def __neg__(self):
-        return self._like({k: -v for k, v in self.components.items()})
+        return self._of(self.grade,
+                        {k: -v for k, v in self.components.items()})
 
     def __rmul__(self, other):
         """Left multiplication by an algebra element or scalar."""
         o = _coerce_coeff(other)
-        return self._like({k: o * v for k, v in self.components.items()})
+        return self._of(self.grade, {k: p for k, v in self.components.items()
+                                     if (p := o * v)})
 
     # -- comparison / rendering ---------------------------------------------
     def __eq__(self, other):
@@ -151,15 +160,14 @@ def _wedge_name(key):
 class DiffForm(FormSum):
     """Homogeneous differential form of degree 0..3."""
 
-    __slots__ = ("degree",)
+    __slots__ = ()
 
     def __init__(self, degree, components=None):
         if degree not in (0, 1, 2, 3):
             raise ValueError(f"form degree must be 0..3, got {degree}")
-        self.degree = degree
-        self._fill(components)
+        self._fill(degree, components)
 
-    grade = property(lambda self: self.degree)
+    degree = property(lambda self: self.grade)
 
     def _check_key(self, key):
         key = tuple(key)
@@ -181,7 +189,8 @@ class DiffForm(FormSum):
         if isinstance(other, DiffForm):
             return NotImplemented
         o = _coerce_coeff(other)
-        return self._like({k: v * o for k, v in self.components.items()})
+        return self._of(self.grade, {k: p for k, v in self.components.items()
+                                     if (p := v * o)})
 
     # -- calculus ------------------------------------------------------------
     def wedge(self, other):
@@ -189,7 +198,7 @@ class DiffForm(FormSum):
             raise TypeError("wedge expects a DiffForm")
         deg = self.degree + other.degree
         if deg > 3:
-            return DiffForm(3)
+            return DiffForm._of(3, {})
         acc = {}
         for kl, cl in self.components.items():
             for kr, cr in other.components.items():
@@ -198,19 +207,20 @@ class DiffForm(FormSum):
                     continue
                 key, sign = m
                 _acc(acc, key, cl * cr if sign > 0 else -(cl * cr))
-        return DiffForm(deg, acc)
+        return DiffForm._of(deg, acc)
 
     def star(self):
         """Graded star; every basis wedge monomial is star-fixed, so this
         conjugates coefficients componentwise."""
-        return self._like({k: v.star() for k, v in self.components.items()})
+        return self._of(self.grade,
+                        {k: v.star() for k, v in self.components.items()})
 
 
 def s_basis(i):
     """The central basis 1-form s^i."""
     if i not in (1, 2, 3):
         raise ValueError(f"basis index must be 1, 2 or 3, got {i}")
-    return DiffForm(1, {(i,): AlgElem.one()})
+    return DiffForm._of(1, {(i,): AlgElem.one()})
 
 
 def wedge(a, b):
@@ -259,13 +269,13 @@ def d(form):
     if not isinstance(form, DiffForm):
         raise TypeError("d expects an AlgElem or DiffForm")
     if form.degree == 3:
-        return DiffForm(3)  # top degree: d vanishes identically
+        return DiffForm._of(3, {})  # top degree: d vanishes identically
     out = {}
     for key, coeff in form.components.items():
         for mono, q in coeff.terms.items():
             for k, c in _d_term(mono, key):
                 _acc(out, k, q * c)
-    return DiffForm(form.degree + 1, out)
+    return DiffForm._of(form.degree + 1, out)
 
 
 def theta():
@@ -311,16 +321,15 @@ class TensorForm(FormSum):
     Components map (left_key, right_index) to algebra coefficients.
     """
 
-    __slots__ = ("left_degree",)
+    __slots__ = ()
 
     def __init__(self, left_degree, components=None):
         if left_degree not in (1, 2):
             raise ValueError(
                 f"tensor left degree must be 1 or 2, got {left_degree}")
-        self.left_degree = left_degree
-        self._fill(components)
+        self._fill(left_degree, components)
 
-    grade = property(lambda self: self.left_degree)
+    left_degree = property(lambda self: self.grade)
 
     def _check_key(self, key):
         lkey, r = key
@@ -351,4 +360,4 @@ def tensor(omega, eta):
     for lkey, cl in omega.components.items():
         for (r,), cr in eta.components.items():
             _acc(out, (lkey, r), cl * cr)
-    return TensorForm(omega.degree, out)
+    return TensorForm._of(omega.degree, out)

@@ -15,8 +15,11 @@ curvature 2-forms come by two independent routes, :func:`curvature_2form`
 through the calculus and :func:`rho_2forms` by coefficient contraction;
 ``verify`` compares them.
 
-All operations are generic over the scalar kind: exact ``Fraction`` entries
-stay exact end to end, ``float`` entries compute in floating point.
+All operations are generic over the scalar kind.  For an exact metric and
+connection, ``raised`` and ``curvature`` work on integer numerators over one
+denominator, with one ``Fraction`` per output entry.  Floats take the same
+formulas with denominator 1, which adds only exact scalings by powers of
+two, so their bits are those of plain float arithmetic.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import ParamScalar, ONE, I, LP
-from .algebra import AlgElem, commutator
+from .algebra import AlgElem, _acc, commutator
 from .forms import (
-    DiffForm, TensorForm, _coerce_coeff, d, wedge, tensor, s_basis, EPS)
+    TensorForm, _coerce_coeff, d, wedge, tensor, s_basis, EPS)
 from .linalg import solve_overdetermined
 
 __all__ = [
@@ -180,11 +183,8 @@ class Connection3:
 
     def raised(self, g=None):
         """Gamma^i_jk = g^{im} Gamma_mjk."""
-        g = self._metric_or(g)
-        ginv = g.inverse
-        ga = self.gamma
-        return _t3(lambda i, j, k: sum(ginv[i][m] * ga[m][j][k]
-                                       for m in _IDX))
+        u, delta = _raised_over(self, self._metric_or(g))
+        return _t3(lambda i, j, k: _over(u[i][j][k], delta))
 
     def __eq__(self, other):
         if not isinstance(other, Connection3):
@@ -290,17 +290,47 @@ def nabla_g(conn):
     return _t3(lambda m, i, n: -(ga[n][m][i] + ga[i][m][n]) / 2)
 
 
+def _over(n, d):
+    """n / d: one reduced Fraction for an int n, else n's own division."""
+    return Fraction(n, d) if type(n) is int else n if d == 1 else n / d
+
+
+def _raised_over(conn, g):
+    """(U, delta) with Gamma^i_jk = U[i][j][k] / delta.  If the metric and
+    every coefficient are exact, g = E/D and Gamma = Gamma_E/D over one
+    denominator D, and U = adj(E) Gamma_E and delta = det E are ints;
+    otherwise U = g^{-1} Gamma in the entries' own arithmetic, delta = 1."""
+    ga = conn.gamma
+    rows = g.entries + sum(ga, ())
+    flat = sum(rows, ())
+    if g.is_exact and all(isinstance(x, (int, Fraction)) for x in flat):
+        den = math.lcm(*(x.denominator for x in flat))
+        rows = [[x.numerator * (den // x.denominator) for x in r]
+                for r in rows]
+        e, ga = rows[:3], (rows[3:6], rows[6:9], rows[9:])
+        minv, delta = _adjugate3(e), _det3(e)
+    else:
+        minv, delta = g.inverse, 1
+    return _t3(lambda i, j, k: sum(minv[i][m] * ga[m][j][k]
+                                   for m in _IDX)), delta
+
+
 def curvature(conn, g=None):
     """Curvature data from the coefficient contraction route.
 
     rho^i_jk = (1/4) Gamma^i_jk - (1/8) eps_jmn Gamma^i_ml Gamma^l_nk for a
-    constant connection, R_mn = rho^i_jn eps_jim, S = R_mn g^{mn}.
+    constant connection, R_mn = rho^i_jn eps_jim, S = R_mn g^{mn}.  With
+    Gamma = U / delta (``_raised_over``), rho = (2 delta U - C) / (8 delta^2)
+    for C^i_jk = eps_jmn U^i_ml U^l_nk; for floats (delta = 1) that has the
+    bits of U/4 - C/8.
     """
     g = conn._metric_or(g)
-    up = conn.raised(g)
-    rho = _t3(lambda i, j, k: up[i][j][k] / 4
-              - _signed_sum((e, up[i][m][l] * up[l][n][k])
-                            for m, n, e in _EPS_NZ[j] for l in _IDX) / 8)
+    u, delta = _raised_over(conn, g)
+    den = 8 * delta * delta
+    rho = _t3(lambda i, j, k: _over(
+        2 * delta * u[i][j][k]
+        - _signed_sum((e, u[i][m][l] * u[l][n][k])
+                      for m, n, e in _EPS_NZ[j] for l in _IDX), den))
     # eps_jim = -eps_mij over the nonzero (i, j) of _EPS_NZ[m]
     ricci = tuple(
         tuple(_signed_sum((-e, rho[i][j][n]) for i, j, e in _EPS_NZ[m])
@@ -375,18 +405,11 @@ def sigma(gamma_up, i, j):
 
 
 def _rho_contraction_tensor(rho, i):
-    """rho^i_jk eps_jmn s^m ^ s^n (x) s^k as a TensorForm."""
-    out = TensorForm(2)
-    for j in (1, 2, 3):
-        for k in (1, 2, 3):
-            r = rho[i - 1][j - 1][k - 1]
-            if not r:
-                continue
-            for m, n, e in _EPS_NZ[j - 1]:
-                w = wedge(s_basis(m + 1), s_basis(n + 1))
-                out = out + tensor(
-                    AlgElem.scalar(ParamScalar.of(r * e)) * w, s_basis(k))
-    return out
+    """rho^i_jk eps_jmn s^m ^ s^n (x) s^k as a TensorForm; by antisymmetry
+    the sum over m, n is twice the one over m < n."""
+    return TensorForm(2, {((m + 1, n + 1), k + 1): 2 * e * rho[i - 1][j][k]
+                          for j in _IDX for k in _IDX
+                          for m, n, e in _EPS_NZ[j] if m < n})
 
 
 def rho_2forms(conn, g=None):
@@ -406,30 +429,22 @@ def curvature_2form(conn, g=None):
     if not g.is_exact:
         raise TypeError("curvature_2form requires an exact metric")
     up = conn.raised(g)
-
-    def nabla_basis(k):
-        out = TensorForm(1)
-        for m in (1, 2, 3):
-            for n in (1, 2, 3):
-                c = up[k - 1][m - 1][n - 1]
-                if c:
-                    out = out + tensor(
-                        AlgElem.scalar(ParamScalar.of(-c / 2)) * s_basis(m),
-                        s_basis(n))
-        return out
-
-    nablas = {k: nabla_basis(k) for k in (1, 2, 3)}
+    # nabla s^k as (m, n, coefficient of s^m (x) s^n) triples
+    nablas = [[(m + 1, n + 1, AlgElem.scalar(ParamScalar.of(-c / 2)))
+               for m in _IDX for n in _IDX if (c := up[k][m][n])]
+              for k in _IDX]
     results = []
-    for i in (1, 2, 3):
-        acc = TensorForm(2)
-        for ((jkey,), k), coeff in nablas[i].components.items():
-            left = coeff * s_basis(jkey)
+    for i in _IDX:
+        acc = {}
+        for j, k, coeff in nablas[i]:
+            left = coeff * s_basis(j)
             # (d (x) id)
-            acc = acc + tensor(d(left), s_basis(k))
+            for lkey, c in d(left).components.items():
+                _acc(acc, (lkey, k), c)
             # -(id ^ nabla)
-            for ((mkey,), n), c2 in nablas[k].components.items():
-                w = wedge(left, c2 * s_basis(mkey))
-                if w:
-                    acc = acc - tensor(w, s_basis(n))
-        results.append(acc)
+            for m, n, c2 in nablas[k - 1]:
+                w = wedge(left, c2 * s_basis(m))
+                for lkey, c in w.components.items():
+                    _acc(acc, (lkey, n), -c)
+        results.append(TensorForm._of(2, acc))
     return tuple(results)

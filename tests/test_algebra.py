@@ -7,7 +7,7 @@ import pytest
 
 from fuzzyqrg.scalars import ParamScalar, ONE, I, LP
 from fuzzyqrg.algebra import (
-    AlgElem, commutator, DegreeLimitError, X1, X2, X3, ONE_A)
+    AlgElem, commutator, DegreeLimitError, DEGREE_LIMIT, X1, X2, X3, ONE_A)
 
 TWO_I_LP = 2 * I * LP
 
@@ -102,6 +102,30 @@ def test_normal_order_keeps_c_at_most_one():
 def test_monomial_rejects_non_normal_key():
     with pytest.raises(ValueError):
         AlgElem.monomial((0, 0, 2))
+
+
+def test_constructor_rejects_non_normal_key():
+    # x3^2 is not stored as such: X3 * X3 applies the sphere relation
+    with pytest.raises(ValueError, match="normal-ordered"):
+        AlgElem({(0, 0, 2): 1})
+    with pytest.raises(ValueError, match="normal-ordered"):
+        AlgElem({(-1, 0, 0): 1})
+
+
+def test_constructor_rejects_inexact_coefficient():
+    with pytest.raises(TypeError):
+        AlgElem({(0, 0, 0): 2.5})
+    assert AlgElem({(1, 0, 0): Fraction(1, 2), (0, 1, 0): 0}) \
+        == Fraction(1, 2) * X1
+
+
+def test_degree_guard_on_constant_products():
+    big = AlgElem.monomial((DEGREE_LIMIT + 1, 0, 0))
+    for s in (AlgElem.scalar(2), ONE_A):
+        with pytest.raises(DegreeLimitError):
+            s * big
+        with pytest.raises(DegreeLimitError):
+            big * s
 
 
 def test_degree_guard():

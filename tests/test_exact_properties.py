@@ -7,8 +7,8 @@ product below stays far under the algebra's degree limit.
 
 from hypothesis import assume, given, settings, strategies as st
 
-from fuzzyqrg.algebra import AlgElem, DEGREE_LIMIT
-from fuzzyqrg.forms import d, theta
+from fuzzyqrg.algebra import AlgElem, DEGREE_LIMIT, X1
+from fuzzyqrg.forms import d, theta, wedge
 from fuzzyqrg.scalars import ParamScalar, I, LP, ONE
 
 MAX_DEGREE = 3
@@ -59,6 +59,23 @@ def test_leibniz_rule(a, b):
 def test_inner_calculus(a):
     th = theta()
     assert d(a) == th * a - a * th
+
+
+@_fast
+@given(scalars, elements, elements)
+def test_constant_products_match_normal_ordering(x, a, b):
+    s = AlgElem.scalar(x)
+    assert s * a == a * s == x * a
+    # (s + x1) * a is normal-ordered term by term
+    assert s * a == (s + X1) * a - X1 * a
+    assert (a * s) * b == a * (s * b)
+
+
+@_fast
+@given(scalars, elements, elements)
+def test_wedge_is_linear_in_constants(x, a, b):
+    w1, w2 = d(a), d(b)
+    assert wedge(x * w1, w2) == x * wedge(w1, w2)
 
 
 @settings(max_examples=30, deadline=None)

@@ -262,6 +262,35 @@ def test_float_metric_pathway():
     assert abs(s_closed - s_contr) < 1e-12
 
 
+def test_curvature_float_connection_over_exact_metric_bits():
+    # float coefficients over an exact metric keep the float arithmetic of
+    # g^{-1} Gamma; the values are pinned bit for bit
+    g = Metric3.diagonal(1, 2, 3)
+    conn = Connection3([[[(i + j - k) / 2 for k in IDX] for j in IDX]
+                        for i in IDX], g)
+    data = curvature(conn)
+    assert data.scalar.hex() == "0x1.0000000000000p-56"
+    assert [[x.hex() for x in r] for r in data.ricci] == [
+        ["-0x1.5c71c71c71c70p-5", "0x1.71c71c71c71c4p-5",
+         "0x1.1000000000000p-3"],
+        ["0x1.038e38e38e38fp-2", "0x1.0e38e38e38e39p-3",
+         "0x1.5555555555550p-7"],
+        ["0x1.7555555555554p-4", "0x1.5555555555554p-7",
+         "-0x1.2000000000000p-4"]]
+
+
+def test_raised_exact_metric_value():
+    g = Metric3([[2, Fraction(1, 2), 0], [Fraction(1, 2), 3, Fraction(-1, 3)],
+                 [0, Fraction(-1, 3), 1]])
+    over_597 = (((-18, -36, -204), (-36, -190, -54), (-204, -1248, 208)),
+                ((72, 144, -378), (144, -36, 216), (816, 216, -36)),
+                ((621, 1242, -126), (48, -609, 72), (-126, 72, -12)))
+    up = qlc(g).raised()
+    assert up == tuple(tuple(tuple(Fraction(n, 597) for n in r) for r in p)
+                       for p in over_597)
+    assert all(type(x) is Fraction for p in up for r in p for x in r)
+
+
 def test_connection_requires_metric_for_torsion():
     conn = Connection3([[[0] * 3 for _ in IDX] for _ in IDX])
     with pytest.raises(ValueError, match="no metric"):
