@@ -15,11 +15,13 @@ curvature 2-forms come by two independent routes, :func:`curvature_2form`
 through the calculus and :func:`rho_2forms` by coefficient contraction;
 ``verify`` compares them.
 
-All operations are generic over the scalar kind.  For an exact metric and
-connection, ``raised`` and ``curvature`` work on integer numerators over one
-denominator, with one ``Fraction`` per output entry.  Floats take the same
-formulas with denominator 1, which adds only exact scalings by powers of
-two, so their bits are those of plain float arithmetic.
+All operations are generic over the scalar kind.  For exact data
+``Metric3``, ``qlc``, ``solve_qlc_linear``, ``torsion``, ``cotorsion``,
+``metric_compat_defect``, ``nabla_g``, ``raised`` and ``curvature`` work on
+integer numerators over one denominator (``_numerators``), with one
+``Fraction`` per output entry.  Floats take the same formulas with
+denominator 1, which adds only exact scalings by powers of two, so their
+bits are those of plain float arithmetic.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .scalars import ParamScalar, ONE, I, LP
 from .algebra import AlgElem, _acc, commutator
 from .forms import (
-    TensorForm, _coerce_coeff, d, wedge, tensor, s_basis, EPS)
-from .linalg import solve_overdetermined
+    DiffForm, TensorForm, _coerce_coeff, d, wedge, tensor, s_basis, EPS)
+from .linalg import SingularSystemError, _eliminate
 
 __all__ = [
     "Metric3", "Connection3", "CurvatureData",
@@ -46,6 +49,7 @@ _IDX = (0, 1, 2)
 # the nonzero eps_jmn for each j, as (m, n, eps_jmn) in ascending m
 _EPS_NZ = tuple(tuple((m, 3 - j - m, EPS[j][m][3 - j - m])
                       for m in _IDX if m != j) for j in _IDX)
+_PAIRS = ((0, 1), (0, 2), (1, 2))  # the (m, n), m < n, of each constraint
 
 
 def _t3(f):
@@ -83,13 +87,7 @@ def _normalize_entries(rows):
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("metric must be a 3x3 matrix")
     has_float = any(isinstance(v, float) for r in rows for v in r)
-    out = []
-    for r in rows:
-        if has_float:
-            out.append(tuple(float(v) for v in r))
-        else:
-            out.append(tuple(v if isinstance(v, Fraction) else Fraction(v)
-                             for v in r))
+    out = [tuple(map(float if has_float else Fraction, r)) for r in rows]
     if has_float and not all(math.isfinite(v) for r in out for v in r):
         raise ValueError("metric entries must be finite")
     return tuple(out), not has_float
@@ -124,11 +122,13 @@ class Metric3:
             for j in _IDX:
                 if entries[i][j] != entries[j][i]:
                     raise ValueError("metric not symmetric")
-        det = _det3(entries)
+        e, _, den = _numerators(entries)
+        det = _det3(e)
         if not det:
             raise ValueError("metric not invertible")
-        inverse = tuple(tuple(v / det for v in row)
-                        for row in _adjugate3(entries))
+        inverse = tuple(tuple(_over(v * den, det) for v in row)
+                        for row in _adjugate3(e))
+        det = _over(det, den ** 3)
         if not exact and not all(
                 map(math.isfinite, (det,) + sum(inverse, ()))):
             raise ValueError("metric determinant or inverse is not finite")
@@ -204,11 +204,10 @@ class CurvatureData:
     scalar: object
 
 
-def _gamma_matrix(g):
+def _gamma_matrix(e):
     """The closed form gamma = 2g - Tr(g) id of the quantum Levi-Civita
-    connection of the Metric3 ``g``."""
-    e = g.entries
-    tr = g.trace()
+    connection of the metric with entries ``e``."""
+    tr = e[0][0] + e[1][1] + e[2][2]
     return tuple(tuple(2 * e[m][n] - tr if m == n else 2 * e[m][n]
                        for n in _IDX) for m in _IDX)
 
@@ -217,7 +216,26 @@ def qlc(g):
     """The unique quantum Levi-Civita connection of ``g`` in closed form."""
     if not isinstance(g, Metric3):
         g = Metric3(g)
-    return connection_from_gamma_matrix(_gamma_matrix(g), g)
+    e, _, den = _numerators(g.entries)
+    ga = connection_from_gamma_matrix(_gamma_matrix(e)).gamma
+    return Connection3(_t3(lambda i, j, k: _over(ga[i][j][k], den)), g)
+
+
+@lru_cache(maxsize=None)
+def _qlc_operator():
+    """(K, k) with A^{-1} = K / k, K's rows as (column, entry) pairs, from one
+    elimination of [A | I]; row (i, m, n) of ``solve_qlc_linear``'s 0/+-1
+    matrix A is (L_i gamma)_mn - (L_i gamma)_nm, gamma_pq at column 3p + q."""
+    rows = [[Fraction(EPS[i][m][p] * (q == n) - EPS[i][n][p] * (q == m))
+             for p in _IDX for q in _IDX] for i in _IDX for m, n in _PAIRS]
+    rows = [r + [Fraction(c == t) for c in range(9)]
+            for t, r in enumerate(rows)]
+    if len(_eliminate(rows, 9)) < 9:
+        raise SingularSystemError("system has a nontrivial kernel")
+    inv = [[x / r[c] for x in r[9:]] for c, r in enumerate(rows)]
+    k = math.lcm(*(x.denominator for r in inv for x in r))
+    return tuple(tuple((t, int(x * k)) for t, x in enumerate(r) if x)
+                 for r in inv), k
 
 
 def solve_qlc_linear(g):
@@ -225,28 +243,18 @@ def solve_qlc_linear(g):
 
     The constraints reduce to L_i gamma - (L_i gamma)^t + 2 g_im L_m = 0 with
     (L_i)_mn = eps_imn; the unique solution is returned as the 3x3 matrix
-    gamma (so that Gamma_ijk = eps_ikm gamma_mj).  Raises
-    SingularSystemError if the system were to acquire a kernel.
+    gamma (so that Gamma_ijk = eps_ikm gamma_mj).  The 0/+-1 matrix does not
+    depend on g, so it is eliminated once per process (``_qlc_operator``),
+    and only that elimination can raise SingularSystemError.
     """
     if not isinstance(g, Metric3):
         g = Metric3(g)
-    e = g.entries
+    e, _, den = _numerators(g.entries)
     zero = e[0][0] - e[0][0]
-    rows, rhs = [], []
-    # unknown vector: gamma_mn flattened as 3*m + n
-    for i in _IDX:
-        for (m, n) in ((0, 1), (0, 2), (1, 2)):
-            row = [zero] * 9
-            if i != m:
-                k = 3 - i - m
-                row[3 * k + n] = zero + EPS[i][m][k]
-            if i != n:
-                k = 3 - i - n
-                row[3 * k + m] = zero - EPS[i][n][k]
-            rows.append(row)
-            rhs.append(-2 * _eps_dot(m, n, e[i], zero))
-    x = solve_overdetermined(rows, rhs)
-    return tuple(tuple(x[3 * m + n] for n in _IDX) for m in _IDX)
+    b = [-2 * _eps_dot(m, n, e[i], zero) for i in _IDX for m, n in _PAIRS]
+    op, k = _qlc_operator()
+    return tuple(tuple(_over(sum(c * b[t] for t, c in row), k * den)
+                       for row in op[3 * m:3 * m + 3]) for m in _IDX)
 
 
 def connection_from_gamma_matrix(gamma_mat, g=None):
@@ -259,26 +267,24 @@ def connection_from_gamma_matrix(gamma_mat, g=None):
 
 def torsion(conn, g=None):
     """Defect T_ijk = Gamma_ijk - Gamma_ikj - 2 g_im eps_mjk."""
-    e = conn._metric_or(g).entries
+    e, ga, den = _numerators(conn._metric_or(g).entries, conn.gamma)
     zero = e[0][0] - e[0][0]
-    ga = conn.gamma
-    return _t3(lambda i, j, k: ga[i][j][k] - ga[i][k][j]
-               - 2 * _eps_dot(j, k, e[i], zero))
+    return _t3(lambda i, j, k: _over(
+        ga[i][j][k] - ga[i][k][j] - 2 * _eps_dot(j, k, e[i], zero), den))
 
 
 def cotorsion(conn, g=None):
     """Defect C_ijk = Gamma_ijk - Gamma_jik - 2 g_km eps_mij."""
-    e = conn._metric_or(g).entries
+    e, ga, den = _numerators(conn._metric_or(g).entries, conn.gamma)
     zero = e[0][0] - e[0][0]
-    ga = conn.gamma
-    return _t3(lambda i, j, k: ga[i][j][k] - ga[j][i][k]
-               - 2 * _eps_dot(i, j, e[k], zero))
+    return _t3(lambda i, j, k: _over(
+        ga[i][j][k] - ga[j][i][k] - 2 * _eps_dot(i, j, e[k], zero), den))
 
 
 def metric_compat_defect(conn):
     """Defect D_lik = Gamma_lik + Gamma_kil; zero iff nabla g = 0."""
-    ga = conn.gamma
-    return _t3(lambda l, i, k: ga[l][i][k] + ga[k][i][l])
+    _, ga, den = _numerators((), conn.gamma)
+    return _t3(lambda l, i, k: _over(ga[l][i][k] + ga[k][i][l], den))
 
 
 def nabla_g(conn):
@@ -286,8 +292,23 @@ def nabla_g(conn):
 
     Returns the 3x3x3 array T[m][i][n] = -(1/2)(Gamma_nmi + Gamma_imn).
     """
-    ga = conn.gamma
-    return _t3(lambda m, i, n: -(ga[n][m][i] + ga[i][m][n]) / 2)
+    _, ga, den = _numerators((), conn.gamma)
+    return _t3(lambda m, i, n: _over(-(ga[n][m][i] + ga[i][m][n]), 2 * den))
+
+
+def _numerators(e, ga=()):
+    """(E, G, D): the 3x3 rows ``e`` = E/D and the 3x3x3 ``ga`` = G/D as int
+    numerators over one lcm denominator D if every entry is an int or a
+    Fraction; else ``e`` and ``ga`` themselves, in their own arithmetic."""
+    flat = sum(e + sum(ga, ()), ())
+    if not {int, Fraction}.issuperset(map(type, flat)):
+        return e, ga, 1
+    ratios = [x.as_integer_ratio() for x in flat]
+    den = math.lcm(*{q for _, q in ratios})
+    num = [p * (den // q) for p, q in ratios]
+    rows = [num[t:t + 3] for t in range(0, len(num), 3)]
+    n = len(e)
+    return rows[:n], [rows[t:t + 3] for t in range(n, len(rows), 3)], den
 
 
 def _over(n, d):
@@ -297,20 +318,12 @@ def _over(n, d):
 
 def _raised_over(conn, g):
     """(U, delta) with Gamma^i_jk = U[i][j][k] / delta.  If the metric and
-    every coefficient are exact, g = E/D and Gamma = Gamma_E/D over one
-    denominator D, and U = adj(E) Gamma_E and delta = det E are ints;
+    every coefficient are exact, g = E/D and Gamma = Gamma_E/D by
+    ``_numerators``, and U = adj(E) Gamma_E and delta = det E are ints;
     otherwise U = g^{-1} Gamma in the entries' own arithmetic, delta = 1."""
-    ga = conn.gamma
-    rows = g.entries + sum(ga, ())
-    flat = sum(rows, ())
-    if g.is_exact and all(isinstance(x, (int, Fraction)) for x in flat):
-        den = math.lcm(*(x.denominator for x in flat))
-        rows = [[x.numerator * (den // x.denominator) for x in r]
-                for r in rows]
-        e, ga = rows[:3], (rows[3:6], rows[6:9], rows[9:])
-        minv, delta = _adjugate3(e), _det3(e)
-    else:
-        minv, delta = g.inverse, 1
+    e, ga, _ = _numerators(g.entries, conn.gamma)
+    minv, delta = ((g.inverse, 1) if e is g.entries
+                   else (_adjugate3(e), _det3(e)))
     return _t3(lambda i, j, k: sum(minv[i][m] * ga[m][j][k]
                                    for m in _IDX)), delta
 
@@ -422,29 +435,28 @@ def rho_2forms(conn, g=None):
 def curvature_2form(conn, g=None):
     """Curvature 2-forms R(s^i) computed through the calculus operations.
 
-    Evaluates (d (x) id - id ^ nabla) nabla on each basis 1-form.  Returns
-    the tuple (R(s^1), R(s^2), R(s^3)) of left-degree-2 tensor forms.
+    Evaluates (d (x) id - id ^ nabla) nabla on each basis 1-form: with
+    nabla s^i = l^i_k (x) s^k for the 1-forms l^i_k = -(1/2) Gamma^i_jk s^j,
+    R(s^i) = d(l^i_k) (x) s^k - l^i_k ^ l^k_n (x) s^n.  Returns the tuple
+    (R(s^1), R(s^2), R(s^3)) of left-degree-2 tensor forms.
     """
     g = conn._metric_or(g)
     if not g.is_exact:
         raise TypeError("curvature_2form requires an exact metric")
     up = conn.raised(g)
-    # nabla s^k as (m, n, coefficient of s^m (x) s^n) triples
-    nablas = [[(m + 1, n + 1, AlgElem.scalar(ParamScalar.of(-c / 2)))
-               for m in _IDX for n in _IDX if (c := up[k][m][n])]
-              for k in _IDX]
+    ell = [[DiffForm._of(1, {(j + 1,): AlgElem.scalar(ParamScalar.of(-c / 2))
+                             for j in _IDX if (c := up[i][j][k])})
+            for k in _IDX] for i in _IDX]
     results = []
     for i in _IDX:
         acc = {}
-        for j, k, coeff in nablas[i]:
-            left = coeff * s_basis(j)
+        for k in _IDX:
             # (d (x) id)
-            for lkey, c in d(left).components.items():
-                _acc(acc, (lkey, k), c)
+            for lkey, c in d(ell[i][k]).components.items():
+                _acc(acc, (lkey, k + 1), c)
             # -(id ^ nabla)
-            for m, n, c2 in nablas[k - 1]:
-                w = wedge(left, c2 * s_basis(m))
-                for lkey, c in w.components.items():
-                    _acc(acc, (lkey, n), -c)
+            for n in _IDX:
+                for lkey, c in wedge(ell[i][k], ell[k][n]).components.items():
+                    _acc(acc, (lkey, n + 1), -c)
         results.append(TensorForm._of(2, acc))
     return tuple(results)

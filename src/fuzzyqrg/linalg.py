@@ -3,8 +3,9 @@
 Entries only need +, -, *, / and truthiness (nonzero test); Fraction,
 ParamScalar and float all qualify.  Elimination takes the first nonzero
 pivot of each column, with no magnitude ordering: the Levi-Civita system
-has the same 0/+-1 matrix for every metric (a float metric enters only the
-right-hand side) and the monopole system has exact ParamScalar entries.
+has the same 0/+-1 matrix for every metric, so it is eliminated once per
+process, exactly (a float metric enters only the right-hand side), and the
+monopole system has exact ParamScalar entries.
 """
 
 from __future__ import annotations
@@ -16,18 +17,15 @@ class SingularSystemError(ValueError):
     """The linear system has no unique solution."""
 
 
-def _pivot_row(rows, col, start):
-    return next((r for r in range(start, len(rows)) if rows[r][col]), None)
-
-
 def _eliminate(rows, ncols):
-    """In-place forward elimination; returns list of pivot column indices."""
+    """In-place Gauss-Jordan elimination, each pivot column left zero outside
+    its pivot row; returns the list of pivot column indices."""
     pivots = []
     r = 0
     for col in range(ncols):
         if r >= len(rows):
             break
-        p = _pivot_row(rows, col, r)
+        p = next((q for q in range(r, len(rows)) if rows[q][col]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]

@@ -125,7 +125,7 @@ def _vanishes_on_qlc(defect):
 def _check_qlc_solver():
     for g in _random_metrics(5):
         gm = solve_qlc_linear(g)
-        if gm != _gamma_matrix(g):
+        if gm != _gamma_matrix(g.entries):
             return False
         if connection_from_gamma_matrix(gm, g) != qlc(g):
             return False

@@ -13,7 +13,7 @@ from fuzzyqrg.geometry import (
     Metric3, Connection3, qlc, solve_qlc_linear, torsion, cotorsion,
     metric_compat_defect, nabla_g, sigma, curvature, scalar_closed_form,
     scalar_perturbation, curvature_2form, rho_2forms,
-    connection_from_gamma_matrix)
+    connection_from_gamma_matrix, _qlc_operator)
 
 IDX = (0, 1, 2)
 
@@ -295,3 +295,75 @@ def test_connection_requires_metric_for_torsion():
     conn = Connection3([[[0] * 3 for _ in IDX] for _ in IDX])
     with pytest.raises(ValueError, match="no metric"):
         torsion(conn)
+
+
+def test_nabla_g_keeps_exact_coefficients_exact():
+    # Gamma_lik = delta_li delta_k1 with int entries, as in the example above:
+    # T[m][i][n] = -(delta_nm delta_i1 + delta_im delta_n1) / 2, exactly
+    gamma = [[[1 if (l == i and k == 0) else 0 for k in IDX]
+              for i in IDX] for l in IDX]
+    t = nabla_g(Connection3(gamma))
+    assert t == tuple(tuple(tuple(
+        Fraction(-((n == m) * (i == 0) + (i == m) * (n == 0)), 2)
+        for n in IDX) for i in IDX) for m in IDX)
+    assert all(type(x) is Fraction for p in t for r in p for x in r)
+
+
+def _flat(t):
+    return [x for p in t for r in p for x in r] if isinstance(t[0][0], tuple) \
+        else [x for r in t for x in r]
+
+
+def test_exact_outputs_are_fractions():
+    g = rand_metric(random.Random(7))
+    conn = qlc(g)
+    data = curvature(conn)
+    for t in (g.inverse, conn.gamma, conn.raised(), solve_qlc_linear(g),
+              torsion(conn), cotorsion(conn), metric_compat_defect(conn),
+              nabla_g(conn), data.rho, data.ricci):
+        assert all(type(x) is Fraction for x in _flat(t))
+    assert type(g.det) is Fraction and type(data.scalar) is Fraction
+
+
+def test_float_defect_bits():
+    # signed zeros in the metric (g_12 = -0.0, g_21 = 0.0) and rounding
+    # residues in the defects; every entry is pinned by float.hex
+    g = Metric3([[1.5, -0.0, 0.1], [0.0, -2.0, -0.0], [0.1, 0.0, 1 / 3]])
+    conn = qlc(g)
+    a, b, c, r = 0.2, 3.8333333333333335, 0.8333333333333333, \
+        3.1666666666666665
+    gamma = [0.0, a, 0.0, 0.0, 0.0, b, 0.0, c, 0.0,
+             -a, 0.0, r, 0.0, 0.0, 0.0, -c, 0.0, a,
+             0.0, -r, 0.0, -b, 0.0, 0.0, 0.0, -a, 0.0]
+    res = 3.3306690738754696e-16
+
+    def sparse(nonzero):
+        return [nonzero.get(t, 0.0) for t in range(27)]
+
+    for got, want in ((conn.gamma, gamma),
+                      (torsion(conn), sparse({19: res, 21: -res})),
+                      (cotorsion(conn), sparse({5: res, 11: -res})),
+                      (metric_compat_defect(conn), sparse({})),
+                      (nabla_g(conn), [-0.0] * 27)):
+        assert [x.hex() for x in _flat(got)] == [x.hex() for x in want]
+
+
+def test_qlc_operator_inverts_constraint_matrix():
+    # row (i, m < n) of A: (L_i gamma - (L_i gamma)^t)_mn with
+    # (L_i)_mk = eps_imk, on the unknowns gamma_pq at column 3p + q
+    def constraint(i, m, n, gam):
+        lg = [[sum(EPS[i][a][k] * gam[k][b] for k in IDX) for b in IDX]
+              for a in IDX]
+        return lg[m][n] - lg[n][m]
+
+    units = [[[int(3 * a + b == c) for b in IDX] for a in IDX]
+             for c in range(9)]
+    a = [[constraint(i, m, n, units[c]) for c in range(9)]
+         for i in IDX for m, n in ((0, 1), (0, 2), (1, 2))]
+    assert {x for r in a for x in r} == {-1, 0, 1}
+    rows, k = _qlc_operator()
+    kmat = [[dict(r).get(c, 0) for c in range(9)] for r in rows]
+    for r in range(9):
+        for c in range(9):
+            assert sum(kmat[r][t] * a[t][c] for t in range(9)) \
+                == (k if r == c else 0)
